@@ -5,7 +5,7 @@
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use srbsg_lifetime::{
     rbsg_raa_lifetime, rbsg_rta_lifetime, sr2_raa_lifetime, sr2_rta_lifetime,
-    srbsg_bpa_lifetime_analytic, srbsg_raa_lifetime, srbsg_raa_wear_distribution, PcmParams,
+    srbsg_bpa_lifetime_analytic, srbsg_raa_lifetime_split, srbsg_raa_wear_profile_split, PcmParams,
     SrbsgParams,
 };
 
@@ -50,7 +50,7 @@ fn fig14_15(c: &mut Criterion) {
     let mut g = c.benchmark_group("fig14_15");
     g.sample_size(10);
     g.bench_function("srbsg_raa", |b| {
-        b.iter(|| black_box(srbsg_raa_lifetime(&small(), &cfg(), 0)))
+        b.iter(|| black_box(srbsg_raa_lifetime_split(&small(), &cfg(), 0, 1)))
     });
     g.bench_function("srbsg_bpa_analytic", |b| {
         b.iter(|| black_box(srbsg_bpa_lifetime_analytic(&small(), &cfg())))
@@ -61,8 +61,18 @@ fn fig14_15(c: &mut Criterion) {
 fn fig16(c: &mut Criterion) {
     let mut g = c.benchmark_group("fig16");
     g.sample_size(10);
-    g.bench_function("wear_distribution", |b| {
-        b.iter(|| black_box(srbsg_raa_wear_distribution(&small(), &cfg(), 1 << 24, 0)))
+    g.bench_function("wear_profile", |b| {
+        b.iter(|| {
+            black_box(srbsg_raa_wear_profile_split(
+                &small(),
+                &cfg(),
+                1 << 24,
+                0,
+                20,
+                4096,
+                1,
+            ))
+        })
     });
     g.finish();
 }

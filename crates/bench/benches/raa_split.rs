@@ -1,11 +1,11 @@
-//! Split-trial RAA lifetime throughput: the legacy serial engine
-//! (`srbsg_raa_lifetime`) vs the splittable round-range engine
+//! RAA lifetime throughput of the round-range engine
 //! (`srbsg_raa_lifetime_split`) at 1, 2, 4, and 8 workers — one trial
 //! fanned over all cores instead of trials fanned over seeds.
 //!
 //! Besides the criterion report, the bench writes a machine-readable
-//! summary (median trials/sec per engine × worker count, plus the core
-//! count the numbers were taken on) to `BENCH_raa_split.json` — override
+//! summary (median trials/sec per worker count, the jobs=2 / jobs=1
+//! ratio, and the core count the numbers were taken on) to
+//! `BENCH_raa_split.json` — override
 //! the path with the `BENCH_RAA_SPLIT_JSON` environment variable. The
 //! committed copy lives at `results/BENCH_raa_split.json`; like
 //! `BENCH_sharded.json`, speedup only shows on multi-core hosts (the CI
@@ -15,19 +15,15 @@
 //!
 //! - `RAA_SPLIT_BENCH_QUICK=1` — smaller platform, fewer repetitions
 //!   (CI smoke mode).
-//! - `SRBSG_BENCH_ASSERT=1` — fail unless split at jobs=1 is within
-//!   tolerance of the legacy serial engine, ≥2× legacy at jobs=4 when the
-//!   host has ≥4 cores, and ≥3× at jobs=8 when it has ≥8.
+//! - `SRBSG_BENCH_ASSERT=1` — fail unless jobs=4 is ≥2× jobs=1 when the
+//!   host has ≥4 cores, and jobs=8 ≥3× jobs=1 when it has ≥8. The
+//!   jobs=2 / jobs=1 ratio is reported, not gated.
 
 use criterion::{black_box, Criterion};
-use srbsg_lifetime::{srbsg_raa_lifetime, srbsg_raa_lifetime_split, PcmParams, SrbsgParams};
+use srbsg_lifetime::{srbsg_raa_lifetime_split, PcmParams, SrbsgParams};
 use std::time::Instant;
 
 const JOB_COUNTS: [usize; 4] = [1, 2, 4, 8];
-/// Split at jobs=1 may trail the legacy engine by the per-range bookkeeping
-/// (closed-form stays are cheaper, thread setup is not free); the gate
-/// allows this much of it.
-const SERIAL_TOLERANCE: f64 = 0.7;
 
 fn platform(quick: bool) -> (PcmParams, SrbsgParams) {
     let params = if quick {
@@ -65,9 +61,6 @@ fn main() {
     let mut c = Criterion::default();
     let mut g = c.benchmark_group("raa_split_lifetime");
     g.sample_size(10);
-    g.bench_function("legacy_serial", |b| {
-        b.iter(|| black_box(srbsg_raa_lifetime(&params, &cfg, 1)))
-    });
     for &jobs in &JOB_COUNTS {
         g.bench_function(format!("split_jobs{jobs}"), |b| {
             b.iter(|| black_box(srbsg_raa_lifetime_split(&params, &cfg, 1, jobs)))
@@ -76,34 +69,41 @@ fn main() {
     g.finish();
 
     // Self-timed medians for the JSON artifact (the criterion shim keeps
-    // its samples internal). Seeds vary per repetition so no engine can
-    // win on a lucky early failure.
-    let legacy = median_rate(|s| srbsg_raa_lifetime(&params, &cfg, s).writes, reps);
-    println!("raa_split_lifetime/legacy_serial: {legacy:.2} trials/sec");
-    let mut entries = vec![format!(
-        "{{\"engine\": \"legacy\", \"jobs\": 1, \"trials_per_sec\": {legacy:.2}}}"
-    )];
-    let mut split_rates = Vec::new();
-    for &jobs in &JOB_COUNTS {
-        let rate = median_rate(
-            |s| srbsg_raa_lifetime_split(&params, &cfg, s, jobs).writes,
-            reps,
-        );
+    // its samples internal). Seeds vary per repetition so the median is
+    // not one trial's lucky early failure.
+    let rates: Vec<(usize, f64)> = JOB_COUNTS
+        .iter()
+        .map(|&jobs| {
+            let rate = median_rate(
+                |s| srbsg_raa_lifetime_split(&params, &cfg, s, jobs).writes,
+                reps,
+            );
+            (jobs, rate)
+        })
+        .collect();
+    let serial = rates[0].1;
+    for &(jobs, rate) in &rates {
         println!(
-            "raa_split_lifetime/split_jobs{jobs}: {rate:.2} trials/sec \
-             ({:.2}x vs legacy)",
-            rate / legacy
+            "raa_split_lifetime/split_jobs{jobs}: {rate:.2} trials/sec ({:.2}x vs jobs=1)",
+            rate / serial
         );
-        entries.push(format!(
-            "{{\"engine\": \"split\", \"jobs\": {jobs}, \"trials_per_sec\": {rate:.2}}}"
-        ));
-        split_rates.push((jobs, rate));
     }
+    let entries: Vec<String> = rates
+        .iter()
+        .map(|(jobs, rate)| {
+            format!("{{\"engine\": \"split\", \"jobs\": {jobs}, \"trials_per_sec\": {rate:.2}}}")
+        })
+        .collect();
+    let rate_at = |jobs: usize| rates.iter().find(|(j, _)| *j == jobs).unwrap().1;
+    // Known defect (ROADMAP): on small hosts fanning one trial over two
+    // workers can be slower than one. Reported for tracking, not gated.
+    let j2_over_j1 = rate_at(2) / serial;
 
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     let json = format!(
         "{{\"bench\": \"raa_split_lifetime\", \"width\": {}, \"endurance\": {}, \
-         \"reps\": {reps}, \"cores\": {cores}, \"results\": [{}]}}\n",
+         \"reps\": {reps}, \"cores\": {cores}, \"jobs2_over_jobs1\": {j2_over_j1:.2}, \
+         \"results\": [{}]}}\n",
         params.width(),
         params.endurance,
         entries.join(", ")
@@ -114,24 +114,15 @@ fn main() {
     println!("[wrote {path}]");
 
     let mut gate_ok = true;
-    let split_j1 = split_rates[0].1;
-    if split_j1 < SERIAL_TOLERANCE * legacy {
-        eprintln!(
-            "GATE: split at jobs=1 ({split_j1:.2}/s) below {SERIAL_TOLERANCE}x \
-             of legacy serial ({legacy:.2}/s)"
-        );
-        gate_ok = false;
-    }
     for (min_cores, jobs, min_speedup) in [(4usize, 4usize, 2.0f64), (8, 8, 3.0)] {
         if cores < min_cores {
             println!("(skipping jobs={jobs} scaling gate: only {cores} core(s) available)");
             continue;
         }
-        let rate = split_rates.iter().find(|(j, _)| *j == jobs).unwrap().1;
-        let speedup = rate / legacy;
+        let speedup = rate_at(jobs) / serial;
         if speedup < min_speedup {
             eprintln!(
-                "GATE: split at jobs={jobs} only {speedup:.2}x vs legacy serial \
+                "GATE: jobs={jobs} only {speedup:.2}x vs jobs=1 \
                  (need >= {min_speedup}x on a {cores}-core host)"
             );
             gate_ok = false;

@@ -22,21 +22,13 @@
 //! one bank long before the others, and the per-bank
 //! `SystemDegradationReport` shows the system absorbing writes on its
 //! healthy banks long after the first death.
-//!
-//! Part 5 (only with `--split-trial`) cross-validates the splittable
-//! round-range RAA engine against the legacy serial engine: the two draw
-//! per-round randomness from different streams, so their lifetimes agree
-//! as distributions, not bit-for-bit — the part computes per-engine mean ±
-//! 1.96·SE confidence intervals over a seed population and fails loudly if
-//! they don't overlap.
 
 use rand::rngs::{SmallRng, StdRng};
 use rand::{RngExt, SeedableRng};
 use srbsg_core::{SecurityRbsg, SecurityRbsgConfig};
 use srbsg_lifetime::{
     srbsg_raa_degraded_exact_trials, srbsg_raa_degraded_lifetime,
-    srbsg_raa_degraded_lifetime_trials, srbsg_raa_lifetime_split, srbsg_raa_lifetime_trials,
-    PcmParams, SrbsgParams,
+    srbsg_raa_degraded_lifetime_trials, PcmParams, SrbsgParams,
 };
 use srbsg_pcm::{FaultConfig, LineData, MemoryController, MultiBankSystem, TimingModel};
 use srbsg_wearlevel::Rbsg;
@@ -49,9 +41,6 @@ pub fn run(opts: &Opts) {
     rta_signature_blur(opts);
     exact_crosscheck(opts);
     multibank_fault_sweep(opts);
-    if opts.split_trial {
-        split_crosscheck(opts);
-    }
 }
 
 /// Part 1: cov × retry budget × spare pool, fast-forward RAA engine.
@@ -465,85 +454,6 @@ fn multibank_fault_sweep(opts: &Opts) {
         "one dead bank no longer reports the whole system dead: writes keep landing \
          on the healthy banks after first_death (served_after_death), and the \
          per-bank report pins the casualty (worst_bank, failed_banks)"
-    );
-}
-
-/// Part 5: legacy-vs-split engine cross-validation on a reduced platform.
-/// Legacy trials fan across seeds (`par_map`); split trials run seed by
-/// seed with all workers inside each trial — both byte-identical for any
-/// `--jobs`, so the CSV sits under the determinism gate like the others.
-fn split_crosscheck(opts: &Opts) {
-    let (params, n_seeds) = if opts.quick {
-        (PcmParams::small(12, 100_000), 16u64)
-    } else {
-        (PcmParams::small(14, 500_000), 64u64)
-    };
-    let cfg = SrbsgParams {
-        sub_regions: 64,
-        inner_interval: 16,
-        outer_interval: 32,
-        stages: 7,
-    };
-    let seeds: Vec<u64> = (0..n_seeds).collect();
-    let legacy = srbsg_raa_lifetime_trials(&params, &cfg, &seeds, opts.jobs);
-    eprintln!("[faults] split cross-check: legacy engine done");
-    let split: Vec<_> = seeds
-        .iter()
-        .map(|&s| srbsg_raa_lifetime_split(&params, &cfg, s, opts.jobs))
-        .collect();
-    eprintln!("[faults] split cross-check: split engine done");
-
-    // Mean ± 1.96·SE over the seed population, on demand writes.
-    let mean_ci = |ls: &[srbsg_lifetime::Lifetime]| {
-        let xs: Vec<f64> = ls.iter().map(|l| l.writes as f64).collect();
-        let n = xs.len() as f64;
-        let mean = xs.iter().sum::<f64>() / n;
-        let var = xs.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / (n - 1.0);
-        let half = 1.96 * (var / n).sqrt();
-        (mean, mean - half, mean + half)
-    };
-    let (lm, llo, lhi) = mean_ci(&legacy);
-    let (sm, slo, shi) = mean_ci(&split);
-    let overlap = llo <= shi && slo <= lhi;
-
-    let mut t = Table::new(
-        &format!(
-            "faults — legacy vs split-trial RAA engine (2^{} lines, E={}, {} seeds)",
-            params.width(),
-            params.endurance,
-            n_seeds
-        ),
-        &[
-            "engine",
-            "seeds",
-            "mean_writes",
-            "ci_lo",
-            "ci_hi",
-            "cis_overlap",
-        ],
-    );
-    for (name, m, lo, hi) in [("legacy", lm, llo, lhi), ("split", sm, slo, shi)] {
-        t.row(vec![
-            name.to_string(),
-            n_seeds.to_string(),
-            format!("{m:.4e}"),
-            format!("{lo:.4e}"),
-            format!("{hi:.4e}"),
-            overlap.to_string(),
-        ]);
-    }
-    t.print();
-    t.write_csv(&opts.out_dir, "faults_split");
-    assert!(
-        overlap,
-        "split-trial engine disagrees with the legacy engine: \
-         legacy CI [{llo:.4e}, {lhi:.4e}] vs split CI [{slo:.4e}, {shi:.4e}]"
-    );
-    println!(
-        "the engines draw per-round randomness from different streams, so their \
-         lifetimes agree statistically (overlapping CIs), not bit-for-bit; \
-         ratio of means split/legacy = {:.4}",
-        sm / lm
     );
 }
 

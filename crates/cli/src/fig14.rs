@@ -4,8 +4,7 @@
 
 use srbsg_attacks::detection_margin;
 use srbsg_lifetime::{
-    sr2_raa_lifetime_trials, srbsg_bpa_lifetime_analytic, srbsg_raa_lifetime,
-    srbsg_raa_lifetime_split, SrbsgParams,
+    sr2_raa_lifetime_trials, srbsg_bpa_lifetime_analytic, srbsg_raa_lifetime_split, SrbsgParams,
 };
 
 use crate::table::Table;
@@ -25,13 +24,8 @@ pub fn run(opts: &Opts) {
         .sum::<f64>()
         / opts.seeds as f64;
 
-    let engine = if opts.split_trial {
-        " [split-trial engine]"
-    } else {
-        ""
-    };
     let mut t = Table::new(
-        &format!("Fig. 14 — Security RBSG lifetime vs DFN stages (days){engine}"),
+        "Fig. 14 — Security RBSG lifetime vs DFN stages (days)",
         &[
             "stages",
             "raa_days",
@@ -41,43 +35,20 @@ pub fn run(opts: &Opts) {
             "margin(S·B/ψ_out)",
         ],
     );
-    // One work item per (stage, seed); folded per stage in seed order.
+    // One work item per (stage, seed), each trial on one worker; folded
+    // per stage in seed order.
     let items: Vec<(usize, u64)> = stages
         .iter()
         .flat_map(|&s| seeds.iter().map(move |&sd| (s, sd)))
         .collect();
     let params = opts.params;
-    let last_seed = opts.seeds - 1;
-    let raa: Vec<f64> = if opts.split_trial {
-        // Splittable engine: one (stage, seed) trial at a time, each trial
-        // fanned over all workers. Progress is inherently in item order.
-        items
-            .iter()
-            .map(|&(s, sd)| {
-                let cfg = SrbsgParams {
-                    stages: s,
-                    ..SrbsgParams::paper_default()
-                };
-                let n = srbsg_raa_lifetime_split(&params, &cfg, sd, opts.jobs).ns as f64;
-                if sd == last_seed {
-                    eprintln!("[fig14] stages={s} done (split)");
-                }
-                n
-            })
-            .collect()
-    } else {
-        srbsg_parallel::par_map(items, opts.jobs, move |(s, sd)| {
-            let cfg = SrbsgParams {
-                stages: s,
-                ..SrbsgParams::paper_default()
-            };
-            let n = srbsg_raa_lifetime(&params, &cfg, sd).ns as f64;
-            if sd == last_seed {
-                eprintln!("[fig14] stages={s} done");
-            }
-            n
-        })
-    };
+    let raa: Vec<f64> = srbsg_parallel::par_map(items, opts.jobs, move |(s, sd)| {
+        let cfg = SrbsgParams {
+            stages: s,
+            ..SrbsgParams::paper_default()
+        };
+        srbsg_raa_lifetime_split(&params, &cfg, sd, 1).ns as f64
+    });
     for (i, chunk) in raa.chunks(opts.seeds as usize).enumerate() {
         let s = stages[i];
         let cfg = SrbsgParams {
@@ -97,19 +68,10 @@ pub fn run(opts: &Opts) {
                 detection_margin(opts.params.width(), cfg.outer_interval, s as u64)
             ),
         ]);
-        if !opts.split_trial {
-            eprintln!("[fig14] stages={s} done");
-        }
+        eprintln!("[fig14] stages={s} done");
     }
     t.print();
-    t.write_csv(
-        &opts.out_dir,
-        if opts.split_trial {
-            "fig14_split"
-        } else {
-            "fig14"
-        },
-    );
+    t.write_csv(&opts.out_dir, "fig14");
     println!(
         "references: ideal {:.0} days; two-level SR under RAA {:.0} days; paper reports \
          67.2% (RAA) / 66.4% (BPA) of ideal at 7 stages, BPA flat in stages",

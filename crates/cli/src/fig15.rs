@@ -1,6 +1,6 @@
 //! Fig. 15: Security RBSG lifetime under RAA across the Table I grid.
 
-use srbsg_lifetime::{srbsg_raa_lifetime, srbsg_raa_lifetime_split, SrbsgParams};
+use srbsg_lifetime::{srbsg_raa_lifetime_split, SrbsgParams};
 
 use crate::table::Table;
 use crate::Opts;
@@ -9,13 +9,8 @@ pub fn run(opts: &Opts) {
     let (subs, inners, outers) = crate::fig12::grid(opts.quick);
     let ideal = opts.params.ideal_lifetime();
 
-    let engine = if opts.split_trial {
-        " [split-trial engine]"
-    } else {
-        ""
-    };
     let mut t = Table::new(
-        &format!("Fig. 15 — Security RBSG lifetime under RAA (days){engine}"),
+        "Fig. 15 — Security RBSG lifetime under RAA (days)",
         &[
             "sub_regions",
             "inner",
@@ -24,8 +19,9 @@ pub fn run(opts: &Opts) {
             "frac_of_ideal",
         ],
     );
-    // One work item per (config, seed); per-config fold in seed order
-    // keeps the float accumulation identical to the serial loop.
+    // One work item per (config, seed), each trial on one worker;
+    // per-config fold in seed order keeps the float accumulation identical
+    // to the serial loop.
     let mut items: Vec<(u64, u64, u64, u64)> = Vec::new();
     for &r in &subs {
         for &pi in &inners {
@@ -38,40 +34,19 @@ pub fn run(opts: &Opts) {
     }
     let params = opts.params;
     let last_seed = opts.seeds - 1;
-    let ns: Vec<f64> = if opts.split_trial {
-        // Splittable engine: grid points run one at a time, each trial
-        // fanned over all workers; progress lines come out in grid order.
-        items
-            .iter()
-            .map(|&(r, pi, po, s)| {
-                let cfg = SrbsgParams {
-                    sub_regions: r,
-                    inner_interval: pi,
-                    outer_interval: po,
-                    stages: 7,
-                };
-                let n = srbsg_raa_lifetime_split(&params, &cfg, s, opts.jobs).ns as f64;
-                if s == last_seed {
-                    eprintln!("[fig15] r={r} inner={pi} outer={po} done (split)");
-                }
-                n
-            })
-            .collect()
-    } else {
-        srbsg_parallel::par_map(items, opts.jobs, move |(r, pi, po, s)| {
-            let cfg = SrbsgParams {
-                sub_regions: r,
-                inner_interval: pi,
-                outer_interval: po,
-                stages: 7,
-            };
-            let n = srbsg_raa_lifetime(&params, &cfg, s).ns as f64;
-            if s == last_seed {
-                eprintln!("[fig15] r={r} inner={pi} outer={po} done");
-            }
-            n
-        })
-    };
+    let ns: Vec<f64> = srbsg_parallel::par_map(items, opts.jobs, move |(r, pi, po, s)| {
+        let cfg = SrbsgParams {
+            sub_regions: r,
+            inner_interval: pi,
+            outer_interval: po,
+            stages: 7,
+        };
+        let n = srbsg_raa_lifetime_split(&params, &cfg, s, 1).ns as f64;
+        if s == last_seed {
+            eprintln!("[fig15] r={r} inner={pi} outer={po} done");
+        }
+        n
+    });
     for (i, chunk) in ns.chunks(opts.seeds as usize).enumerate() {
         let per_r = inners.len() * outers.len();
         let (r, pi, po) = (
@@ -89,14 +64,7 @@ pub fn run(opts: &Opts) {
         ]);
     }
     t.print();
-    t.write_csv(
-        &opts.out_dir,
-        if opts.split_trial {
-            "fig15_split"
-        } else {
-            "fig15"
-        },
-    );
+    t.write_csv(&opts.out_dir, "fig15");
     println!(
         "paper observations: lifetime grows with inner interval and region count, and \
          (unlike SR) grows with the outer interval; recommended config endures >108 months"

@@ -1,16 +1,16 @@
 //! Fig. 16: normalized accumulated writes over the address space under RAA,
 //! for increasing total write counts.
 //!
-//! Uses the streaming wear profile ([`srbsg_raa_wear_profile`]): each worker
-//! holds a fixed-size region accumulator instead of a dense per-line wear
-//! vector, so memory stays O(points + regions) per total regardless of the
-//! bank size. The cumulative-wear curve is bit-identical to the dense
-//! computation; the Gini column is computed over `MAX_REGIONS` equal-width
-//! address regions (exact for the curve's granularity, and within the
-//! region width of the per-line value).
+//! Uses the streaming wear profile ([`srbsg_raa_wear_profile_split_with`]):
+//! totals run one at a time, each fanned over all workers by round range,
+//! and every worker holds a fixed-size region accumulator instead of a
+//! dense per-line wear vector, so memory stays O(points + regions) per
+//! worker regardless of the bank size. The cumulative-wear curve is
+//! bit-identical to the dense computation; the Gini column is computed
+//! over `MAX_REGIONS` equal-width address regions (exact for the curve's
+//! granularity, and within the region width of the per-line value).
 
-use srbsg_lifetime::{srbsg_raa_wear_profile, srbsg_raa_wear_profile_split_with, SrbsgParams};
-use srbsg_pcm::WearAccumulator;
+use srbsg_lifetime::{srbsg_raa_wear_profile_split_with, SrbsgParams};
 
 use crate::table::Table;
 use crate::Opts;
@@ -38,68 +38,38 @@ pub fn run(opts: &Opts) {
     let mut headers = vec!["total_writes".to_string()];
     headers.extend((1..=points).map(|p| format!("x={:.2}", p as f64 / points as f64)));
     headers.push("gini".to_string());
-    let engine = if opts.split_trial {
-        " [split-trial engine]"
-    } else {
-        ""
-    };
     let mut t = Table::new_owned(
-        &format!("Fig. 16 — normalized cumulative wear (x = address-space fraction){engine}"),
+        "Fig. 16 — normalized cumulative wear (x = address-space fraction)",
         headers,
     );
-    let params = opts.params;
-    let to_row = move |total: u128, profile: &WearAccumulator| {
-        let curve = profile.curve();
-        let gini = profile.region_gini();
+    // Progress lines are strictly ordered: total by total, round ranges
+    // within a total — never interleaved across totals.
+    for &total in &totals {
+        let mut last_quarter = 0;
+        let profile = srbsg_raa_wear_profile_split_with(
+            &opts.params,
+            &cfg,
+            total,
+            1,
+            points,
+            MAX_REGIONS,
+            opts.jobs,
+            |done, rounds| {
+                let quarter = (4 * done) / rounds.max(1);
+                if quarter > last_quarter && quarter < 4 {
+                    last_quarter = quarter;
+                    eprintln!("[fig16] total={total} rounds {done}/{rounds}");
+                }
+            },
+        );
+        eprintln!("[fig16] total={total} done");
         let mut row = vec![format!("{total:e}")];
-        row.extend(curve.iter().map(|y| format!("{y:.3}")));
-        row.push(format!("{gini:.3}"));
-        row
-    };
-    if opts.split_trial {
-        // Splittable engine: totals run one at a time with all workers on
-        // each, so progress lines are strictly ordered (total by total,
-        // round ranges within a total) — never interleaved across totals.
-        for &total in &totals {
-            let mut last_quarter = 0;
-            let profile = srbsg_raa_wear_profile_split_with(
-                &params,
-                &cfg,
-                total,
-                1,
-                points,
-                MAX_REGIONS,
-                opts.jobs,
-                |done, rounds| {
-                    let quarter = (4 * done) / rounds.max(1);
-                    if quarter > last_quarter && quarter < 4 {
-                        last_quarter = quarter;
-                        eprintln!("[fig16] total={total} rounds {done}/{rounds}");
-                    }
-                },
-            );
-            eprintln!("[fig16] total={total} done (split)");
-            t.row(to_row(total, &profile));
-        }
-    } else {
-        let rows = srbsg_parallel::par_map(totals.clone(), opts.jobs, move |total| {
-            let profile = srbsg_raa_wear_profile(&params, &cfg, total, 1, points, MAX_REGIONS);
-            to_row(total, &profile)
-        });
-        for (total, row) in totals.iter().zip(rows) {
-            eprintln!("[fig16] total={total} done");
-            t.row(row);
-        }
+        row.extend(profile.curve().iter().map(|y| format!("{y:.3}")));
+        row.push(format!("{:.3}", profile.region_gini()));
+        t.row(row);
     }
     t.print();
-    t.write_csv(
-        &opts.out_dir,
-        if opts.split_trial {
-            "fig16_split"
-        } else {
-            "fig16"
-        },
-    );
+    t.write_csv(&opts.out_dir, "fig16");
     println!(
         "paper reference: at 10^13 writes the curve is approximately the diagonal \
          (perfectly even wear); Gini → 0 as writes accumulate \

@@ -45,14 +45,9 @@
 //! `--jobs N` runs the seeded trials of each sweep on up to `N` worker
 //! threads (default: the machine's available parallelism). Every table and
 //! CSV is byte-identical for any `N` — each trial owns its seed and RNG
-//! stream, and results are folded in a fixed order.
-//!
-//! `--split-trial` switches the RAA paths of fig14, fig15, fig16 and
-//! faults to the splittable round-range engine: configurations run one at
-//! a time and each *single trial* fans over all `--jobs` workers. Output
-//! goes to `*_split.csv` next to the legacy CSVs, which stay recorded;
-//! the engines draw from different RNG streams, so the two files agree
-//! statistically rather than bit-for-bit (the faults part checks that).
+//! stream, and results are folded in a fixed order. fig16 fans each single
+//! write target over the workers by round range instead (DESIGN §4g),
+//! with the same guarantee.
 
 mod ablation;
 mod crash;
@@ -89,10 +84,6 @@ pub struct Opts {
     /// Worker threads for seeded-trial sweeps (output is identical for
     /// any value; see `srbsg-parallel`).
     pub jobs: usize,
-    /// Use the splittable round-range RAA engine: one trial fans over all
-    /// `--jobs` workers and figures write `*_split.csv` next to the legacy
-    /// CSVs (which stay recorded for cross-validation).
-    pub split_trial: bool,
 }
 
 fn main() {
@@ -102,12 +93,10 @@ fn main() {
     let mut seeds = 0u64;
     let mut out_dir = "results".to_string();
     let mut jobs = srbsg_parallel::available_jobs();
-    let mut split_trial = false;
     let mut it = args.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
             "--quick" => quick = true,
-            "--split-trial" => split_trial = true,
             "--seeds" => {
                 seeds = it
                     .next()
@@ -148,7 +137,6 @@ fn main() {
         out_dir,
         quick,
         jobs,
-        split_trial,
     };
 
     let t0 = std::time::Instant::now();
@@ -197,7 +185,7 @@ fn usage(msg: &str) -> ! {
     eprintln!("error: {msg}");
     eprintln!(
         "usage: experiments <fig11|fig12|fig13|fig14|fig15|fig16|overhead|perf|detect|normal|ablation|faults|serve|crash|crashfuzz|storagefuzz|servebin|all> \
-         [--quick] [--seeds N] [--out DIR] [--jobs N] [--split-trial]"
+         [--quick] [--seeds N] [--out DIR] [--jobs N]"
     );
     std::process::exit(2);
 }

@@ -11,17 +11,6 @@ fn run_fig(figure: &str, jobs: u32, out: &Path) -> (Vec<u8>, Vec<u8>) {
 
 /// Like [`run_fig`], for subcommands that write more than one CSV.
 fn run_fig_csvs(figure: &str, jobs: u32, out: &Path, csvs: &[&str]) -> (Vec<Vec<u8>>, Vec<u8>) {
-    run_fig_csvs_with(figure, jobs, out, csvs, &[])
-}
-
-/// Like [`run_fig_csvs`], with extra CLI flags (e.g. `--split-trial`).
-fn run_fig_csvs_with(
-    figure: &str,
-    jobs: u32,
-    out: &Path,
-    csvs: &[&str],
-    extra: &[&str],
-) -> (Vec<Vec<u8>>, Vec<u8>) {
     let output = Command::new(env!("CARGO_BIN_EXE_experiments"))
         .args([
             "--quick",
@@ -32,7 +21,6 @@ fn run_fig_csvs_with(
             "--out",
         ])
         .arg(out)
-        .args(extra)
         .arg(figure)
         .output()
         .expect("spawn experiments binary");
@@ -222,66 +210,57 @@ fn crashfuzz_output_is_byte_identical_across_job_counts() {
     std::fs::remove_dir_all(&base).ok();
 }
 
-/// `--split-trial` inverts the parallelism axis: one trial fans its round
-/// ranges over all workers instead of trials fanning over seeds. Every
-/// split CSV (fig14/fig15/fig16) and the stdout tables must still be
-/// byte-identical for any worker count.
+/// fig14 and fig15 fan their (configuration, seed) trials over the
+/// workers and fold per configuration in seed order; both CSVs and stdout
+/// tables must be byte-identical for any worker count.
 #[test]
-fn split_trial_fig_output_is_byte_identical_across_job_counts() {
-    let base = std::env::temp_dir().join(format!("srbsg-split-determinism-{}", std::process::id()));
-    for figure in ["fig14", "fig15", "fig16"] {
-        let csv = format!("{figure}_split");
+fn fig14_fig15_output_is_byte_identical_across_job_counts() {
+    let base =
+        std::env::temp_dir().join(format!("srbsg-fig14-15-determinism-{}", std::process::id()));
+    for figure in ["fig14", "fig15"] {
         let mut outputs = Vec::new();
         for jobs in [1u32, 2, 4] {
             let dir = base.join(format!("{figure}-jobs{jobs}"));
             std::fs::create_dir_all(&dir).expect("create out dir");
-            outputs.push((
-                jobs,
-                run_fig_csvs_with(figure, jobs, &dir, &[&csv], &["--split-trial"]),
-            ));
+            outputs.push((jobs, run_fig(figure, jobs, &dir)));
         }
         let (_, serial) = &outputs[0];
         for (jobs, parallel) in &outputs[1..] {
             assert_eq!(
                 serial.0, parallel.0,
-                "{csv}.csv differs between --jobs 1 and --jobs {jobs}"
+                "{figure}.csv differs between --jobs 1 and --jobs {jobs}"
             );
             assert_eq!(
                 serial.1, parallel.1,
-                "{figure} --split-trial stdout differs between --jobs 1 and --jobs {jobs}"
+                "{figure} stdout differs between --jobs 1 and --jobs {jobs}"
             );
         }
     }
     std::fs::remove_dir_all(&base).ok();
 }
 
-/// The faults Part-5 cross-check runs *both* engines (legacy across seeds,
-/// split across round ranges) and its CSV carries the CI columns — all of
-/// it must be byte-identical for any worker count.
+/// The faults sweep writes four CSVs from four differently parallelized
+/// parts (degradation sweep, RTA blur, exact-tier cross-check, multi-bank
+/// sweep); every one of them must be byte-identical for any worker count.
 #[test]
-fn split_trial_faults_output_is_byte_identical_across_job_counts() {
-    let base = std::env::temp_dir().join(format!(
-        "srbsg-faults-split-determinism-{}",
-        std::process::id()
-    ));
+fn faults_output_is_byte_identical_across_job_counts() {
+    const CSVS: [&str; 4] = ["faults", "faults_rta", "faults_exact", "faults_multibank"];
+    let base =
+        std::env::temp_dir().join(format!("srbsg-faults-determinism-{}", std::process::id()));
     let mut outputs = Vec::new();
     for jobs in [1u32, 2, 4] {
         let dir = base.join(format!("jobs{jobs}"));
         std::fs::create_dir_all(&dir).expect("create out dir");
-        outputs.push((
-            jobs,
-            run_fig_csvs_with("faults", jobs, &dir, &["faults_split"], &["--split-trial"]),
-        ));
+        outputs.push((jobs, run_fig_csvs("faults", jobs, &dir, &CSVS)));
     }
     let (_, serial) = &outputs[0];
     for (jobs, parallel) in &outputs[1..] {
-        assert_eq!(
-            serial.0, parallel.0,
-            "faults_split.csv differs between --jobs 1 and --jobs {jobs}"
-        );
+        for (csv, (a, b)) in CSVS.iter().zip(serial.0.iter().zip(&parallel.0)) {
+            assert_eq!(a, b, "{csv}.csv differs between --jobs 1 and --jobs {jobs}");
+        }
         assert_eq!(
             serial.1, parallel.1,
-            "faults --split-trial stdout differs between --jobs 1 and --jobs {jobs}"
+            "faults stdout differs between --jobs 1 and --jobs {jobs}"
         );
     }
     std::fs::remove_dir_all(&base).ok();

@@ -12,18 +12,17 @@
 //! * [`srbsg_raa_degraded_exact`] drives the real [`SecurityRbsg`] scheme
 //!   and the real RAA attack code through a fault-injected
 //!   [`MemoryController`].
-//! * [`srbsg_raa_degraded_lifetime`] is the round-level fast-forward
-//!   engine, depositing lap-sized wear quanta into a fault-injected
+//! * [`srbsg_raa_degraded_lifetime`] runs the RAA round engine's rounds,
+//!   depositing lap-sized wear quanta into a fault-injected
 //!   [`PcmBank`] so the event machinery (retries, ECP, retirement) runs
 //!   identically to the exact path, while latency is amortized
 //!   analytically.
 
-use rand::rngs::SmallRng;
-use rand::{RngExt, SeedableRng};
 use srbsg_attacks::RepeatedAddressAttack;
 use srbsg_core::{SecurityRbsg, SecurityRbsgConfig};
 use srbsg_pcm::{DegradationReport, FaultConfig, MemoryController, PcmBank};
 
+use crate::split::{round_plans, stay_quanta, Geometry};
 use crate::srbsg::{finish, SrbsgParams};
 use crate::{Lifetime, PcmParams};
 
@@ -95,109 +94,18 @@ pub fn srbsg_raa_degraded_exact(
     }
 }
 
-/// Round-level fast-forward RAA engine over a fault-injected bank.
-///
-/// The deposit pattern is the ideal engine's (`srbsg_raa_lifetime`): per
-/// outer round the hammered address stays in two key-random sub-regions,
-/// parking on one slot per inner rotation lap. Here every deposit lands in
-/// the real [`PcmBank`] via `add_wear`, so per-line endurance draws,
-/// transient schedules, ECP consumption, and spare-line retirement all
-/// fire exactly as they would write-by-write; only latency is amortized
-/// (via [`finish`]). Milestones are timestamped at round granularity.
-struct DegradedRaaEngine {
-    params: PcmParams,
-    cfg: SrbsgParams,
-    rng: SmallRng,
-    bank: PcmBank,
-    enc_p: srbsg_feistel::FeistelNetwork,
-    total_writes: u128,
-    la: u64,
-}
-
-impl DegradedRaaEngine {
-    fn new(params: PcmParams, cfg: SrbsgParams, fault_cfg: FaultConfig, seed: u64) -> Self {
-        let mut rng = SmallRng::seed_from_u64(seed);
-        let enc_p = srbsg_feistel::FeistelNetwork::random(&mut rng, params.width(), cfg.stages);
-        let n_r = params.lines / cfg.sub_regions;
-        let slots = cfg.sub_regions * (n_r + 1);
-        Self {
-            params,
-            cfg,
-            rng,
-            bank: PcmBank::with_faults(slots, params.endurance, params.timing, fault_cfg),
-            enc_p,
-            total_writes: 0,
-            la: 0,
-        }
-    }
-
-    fn n_r(&self) -> u64 {
-        self.params.lines / self.cfg.sub_regions
-    }
-
-    /// Deposit `writes` hammer writes into `region` in lap-sized quanta
-    /// from a random entry slot; each full lap also deposits one write of
-    /// inner-rotation background on every slot of the region.
-    fn deposit_stay(&mut self, region: u64, mut writes: u64) {
-        let n_r = self.n_r();
-        let slots = n_r + 1;
-        let lap = slots * self.cfg.inner_interval;
-        let mut slot = self.rng.random_range(0..slots);
-        while writes > 0 && !self.bank.failed() {
-            let deposit = writes.min(lap);
-            self.bank.add_wear(region * slots + slot, deposit);
-            self.total_writes += deposit as u128;
-            if deposit == lap {
-                for s in 0..slots {
-                    self.bank.add_wear(region * slots + s, 1);
-                    if self.bank.failed() {
-                        break;
-                    }
-                }
-            }
-            writes -= deposit;
-            slot = (slot + 1) % slots;
-        }
-    }
-
-    /// Advance one outer DFN round; returns false once the bank failed.
-    fn round(&mut self) -> bool {
-        use srbsg_feistel::AddressPermutation as _;
-        if self.bank.failed() {
-            return false;
-        }
-        let n = self.params.lines;
-        let n_r = self.n_r();
-        let round_writes = n * self.cfg.outer_interval;
-        let enc_c = srbsg_feistel::FeistelNetwork::random(
-            &mut self.rng,
-            self.params.width(),
-            self.cfg.stages,
-        );
-        let ia_p = self.enc_p.encrypt(self.la);
-        let ia_c = enc_c.encrypt(self.la);
-        let flip = self.rng.random_range(0.0..1.0f64);
-        let mut w1 = (round_writes as f64 * flip) as u64;
-        let mut w2 = round_writes - w1;
-        let cycle_len = self.rng.random_range(1..=n);
-        if self.rng.random_range(0..cycle_len) == 0 {
-            let parked_writes = (cycle_len * self.cfg.outer_interval).min(round_writes);
-            let taken1 = w1.min(parked_writes);
-            w1 -= taken1;
-            w2 -= (parked_writes - taken1).min(w2);
-            self.total_writes += parked_writes as u128;
-        }
-        self.deposit_stay(ia_p / n_r, w1);
-        self.deposit_stay(ia_c / n_r, w2);
-        self.enc_p = enc_c;
-        !self.bank.failed()
-    }
-}
-
 /// Fast-forward tier: RAA lifetime of Security RBSG on a degrading
 /// device. Runs until capacity exhaustion or until `max_writes` attack
-/// writes have been spent (whichever first); milestones are timestamped
-/// at round granularity.
+/// writes have been spent (whichever first).
+///
+/// The rounds are the RAA round engine's (`split.rs`): same per-round
+/// streams, same deposit schedule as [`crate::srbsg_raa_lifetime_split`].
+/// Here every lap-sized quantum lands in a real [`PcmBank`] via
+/// `add_wear`, and each full lap adds one background write to every slot
+/// of the region, so per-line endurance draws, transient schedules, ECP
+/// consumption, and spare-line retirement all fire exactly as they would
+/// write-by-write; only latency is amortized (via [`finish`]). Milestones
+/// are timestamped at round granularity.
 pub fn srbsg_raa_degraded_lifetime(
     params: &PcmParams,
     cfg: &SrbsgParams,
@@ -205,34 +113,67 @@ pub fn srbsg_raa_degraded_lifetime(
     seed: u64,
     max_writes: u128,
 ) -> DegradationLifetime {
-    let mut eng = DegradedRaaEngine::new(*params, *cfg, *fault_cfg, seed);
+    let geo = Geometry::new(params, cfg);
+    let mut bank = PcmBank::with_faults(
+        cfg.sub_regions * geo.slots,
+        params.endurance,
+        params.timing,
+        *fault_cfg,
+    );
+    let mut total: u128 = 0;
     let mut first_correctable = None;
     let mut first_retirement = None;
-    loop {
-        let alive = eng.round();
-        let report = eng.bank.degradation_report();
+    for plan in round_plans(params, cfg, seed, 0..u64::MAX) {
+        let (writes, failed) =
+            plan.deposit(|region, entry, w| bank_stay(&mut bank, geo, region, entry, w));
+        total += writes;
+        let report = bank.degradation_report();
         if first_correctable.is_none() && report.first_correctable.is_some() {
-            first_correctable = Some(finish(&eng.params, &eng.cfg, eng.total_writes));
+            first_correctable = Some(finish(params, cfg, total));
         }
         if first_retirement.is_none() && report.first_retirement.is_some() {
-            first_retirement = Some(finish(&eng.params, &eng.cfg, eng.total_writes));
+            first_retirement = Some(finish(params, cfg, total));
         }
-        if !alive || eng.total_writes >= max_writes {
+        if failed || total >= max_writes {
             break;
         }
     }
     DegradationLifetime {
         first_correctable,
         first_retirement,
-        capacity_exhaustion: finish(&eng.params, &eng.cfg, eng.total_writes),
-        report: eng.bank.degradation_report(),
+        capacity_exhaustion: finish(params, cfg, total),
+        report: bank.degradation_report(),
     }
+}
+
+/// One stay on the fault-injected bank; returns (writes deposited,
+/// bank failed).
+fn bank_stay(
+    bank: &mut PcmBank,
+    geo: Geometry,
+    region: u64,
+    entry: u64,
+    writes: u64,
+) -> (u64, bool) {
+    let base = region * geo.slots;
+    stay_quanta(geo, entry, writes, |slot, amount| {
+        bank.add_wear(base + slot, amount);
+        if amount == geo.lap {
+            for s in 0..geo.slots {
+                bank.add_wear(base + s, 1);
+                if bank.failed() {
+                    break;
+                }
+            }
+        }
+        bank.failed()
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::srbsg::srbsg_raa_lifetime;
+    use crate::{srbsg_raa_degraded_exact_trials, srbsg_raa_lifetime_split};
 
     fn small_cfg() -> SrbsgParams {
         SrbsgParams {
@@ -246,43 +187,34 @@ mod tests {
     #[test]
     fn inert_faults_reproduce_ideal_engine_exactly() {
         // With every fault knob zero, the degraded engine must agree with
-        // the ideal round-level engine write for write: same RNG stream,
-        // same deposits, failure at the first endurance crossing.
-        let params = PcmParams::small(9, 20_000);
-        let cfg = small_cfg();
-        for seed in 0..3 {
-            let ideal = srbsg_raa_lifetime(&params, &cfg, seed);
-            let degraded = srbsg_raa_degraded_lifetime(
-                &params,
-                &cfg,
-                &FaultConfig::default(),
-                seed,
-                u128::MAX >> 1,
-            );
-            assert!(degraded.report.capacity_exhaustion.is_some());
-            // The engines differ only in background accounting: the ideal
-            // engine folds one background lap per region into its failure
-            // check, the degraded engine deposits it as real wear. Allow
-            // that slack but demand the same order of magnitude and the
-            // same seed-determinism.
-            let ratio = degraded.capacity_exhaustion.writes as f64 / ideal.writes as f64;
-            assert!(
-                (0.8..1.25).contains(&ratio),
-                "seed {seed}: degraded {} vs ideal {} (ratio {ratio})",
-                degraded.capacity_exhaustion.writes,
-                ideal.writes
-            );
-            let again = srbsg_raa_degraded_lifetime(
-                &params,
-                &cfg,
-                &FaultConfig::default(),
-                seed,
-                u128::MAX >> 1,
-            );
-            assert_eq!(
-                degraded.capacity_exhaustion.writes, again.capacity_exhaustion.writes,
-                "engine must be deterministic per seed"
-            );
+        // the ideal round engine write for write: same rounds, same
+        // deposits, failure at the first endurance crossing.
+        let configs = [
+            (PcmParams::small(9, 20_000), small_cfg()),
+            (
+                PcmParams::small(8, 6_000),
+                SrbsgParams {
+                    sub_regions: 4,
+                    ..small_cfg()
+                },
+            ),
+        ];
+        for (params, cfg) in configs {
+            for seed in 0..8 {
+                let ideal = srbsg_raa_lifetime_split(&params, &cfg, seed, 1);
+                let degraded = srbsg_raa_degraded_lifetime(
+                    &params,
+                    &cfg,
+                    &FaultConfig::default(),
+                    seed,
+                    u128::MAX >> 1,
+                );
+                assert!(degraded.report.capacity_exhaustion.is_some());
+                assert_eq!(
+                    degraded.capacity_exhaustion.writes, ideal.writes,
+                    "{params:?} {cfg:?} seed {seed}"
+                );
+            }
         }
     }
 
@@ -362,5 +294,65 @@ mod tests {
             (0.4..2.5).contains(&ratio),
             "fast-forward {ff_avg} vs exact {exact_avg} (ratio {ratio})"
         );
+    }
+
+    /// Oracle for the round engine: [`srbsg_raa_lifetime_split`] against
+    /// the exact tier (real scheme, real RAA attack, controller with inert
+    /// faults) over seeds 0..64 at three small configs. The mean lifetimes
+    /// must agree within 5% (`|mean_split / mean_exact − 1| ≤ 0.05`). The
+    /// round model carries a small config-dependent bias (about +3.5%,
+    /// −2.7% and −2.2% at these configs), large enough that 64-seed 95%
+    /// CIs can be disjoint, so the test bounds the mean ratio instead of
+    /// requiring CI overlap.
+    #[test]
+    #[ignore = "heavy 64-seed cross-validation vs the exact tier (~1 min release); run by the CI heavy-tests step via --ignored"]
+    fn round_engine_matches_exact_tier_across_64_seeds() {
+        let configs = [
+            (PcmParams::small(10, 30_000), small_cfg()),
+            (
+                PcmParams::small(8, 6_000),
+                SrbsgParams {
+                    sub_regions: 4,
+                    ..small_cfg()
+                },
+            ),
+            (
+                PcmParams::small(10, 30_000),
+                SrbsgParams {
+                    sub_regions: 16,
+                    inner_interval: 8,
+                    outer_interval: 16,
+                    stages: 7,
+                },
+            ),
+        ];
+        let seeds: Vec<u64> = (0..64).collect();
+        let jobs = srbsg_parallel::available_jobs();
+        let mean = |xs: &[u128]| xs.iter().map(|&x| x as f64).sum::<f64>() / xs.len() as f64;
+        for (params, cfg) in configs {
+            let exact: Vec<u128> = srbsg_raa_degraded_exact_trials(
+                &params,
+                &cfg,
+                &FaultConfig::default(),
+                &seeds,
+                u128::MAX >> 1,
+                jobs,
+            )
+            .iter()
+            .map(|d| {
+                assert!(d.report.capacity_exhaustion.is_some());
+                d.capacity_exhaustion.writes
+            })
+            .collect();
+            let split: Vec<u128> = seeds
+                .iter()
+                .map(|&s| srbsg_raa_lifetime_split(&params, &cfg, s, jobs).writes)
+                .collect();
+            let ratio = mean(&split) / mean(&exact);
+            assert!(
+                (ratio - 1.0).abs() <= 0.05,
+                "{params:?} {cfg:?}: split/exact mean ratio {ratio:.4}"
+            );
+        }
     }
 }

@@ -34,14 +34,11 @@ pub use split::{
     srbsg_raa_lifetime_split, srbsg_raa_wear_profile_split, srbsg_raa_wear_profile_split_with,
 };
 pub use sr2::{sr2_raa_lifetime, sr2_rta_lifetime};
-pub use srbsg::{
-    srbsg_bpa_lifetime, srbsg_bpa_lifetime_analytic, srbsg_raa_lifetime,
-    srbsg_raa_wear_distribution, srbsg_raa_wear_profile, srbsg_rta_lifetime, SrbsgParams,
-};
+pub use srbsg::{srbsg_bpa_lifetime, srbsg_bpa_lifetime_analytic, srbsg_rta_lifetime, SrbsgParams};
 pub use trials::{
     rbsg_rta_lifetime_trials, sr2_raa_lifetime_trials, sr2_rta_lifetime_trials,
     srbsg_bpa_lifetime_trials, srbsg_raa_degraded_exact_trials, srbsg_raa_degraded_lifetime_trials,
-    srbsg_raa_lifetime_trials, srbsg_rta_lifetime_trials,
+    srbsg_rta_lifetime_trials,
 };
 pub use workload::workload_lifetime;
 

@@ -1,12 +1,12 @@
-//! Lifetime of Security RBSG under RAA, BPA, and RTA at paper scale
-//! (Figs. 14–16).
+//! Lifetime of Security RBSG under BPA and RTA at paper scale (Fig. 14),
+//! plus the configuration and latency amortization shared with the RAA
+//! round engine in `split.rs`.
 
 use rand::rngs::SmallRng;
 use rand::{RngExt, SeedableRng};
 use srbsg_attacks::detection_margin;
-use srbsg_feistel::{AddressPermutation, FeistelNetwork};
-use srbsg_pcm::WearAccumulator;
 
+use crate::split::srbsg_raa_lifetime_split;
 use crate::{Lifetime, PcmParams};
 
 /// Configuration of the Security RBSG lifetime engines (mirrors
@@ -35,251 +35,6 @@ impl SrbsgParams {
     }
 }
 
-/// Where a stay's lap-sized deposits land.
-///
-/// The round engine owns the whole RNG stream (keys, flip point, parking,
-/// entry slots); a sink only receives fully determined deposits. A dense
-/// sink keeps the per-slot histogram and failure detection the lifetime
-/// engine needs; a streaming sink folds the identical write sequence into
-/// a fixed-size [`WearAccumulator`] so paper-scale distribution sweeps
-/// need O(regions) memory per worker instead of O(lines).
-pub(crate) trait StaySink {
-    /// Record `writes` hammer writes into `region`, in lap-sized quanta
-    /// over consecutive slots starting at slot `entry`. Returns the writes
-    /// actually deposited (a failing sink stops mid-stay) and whether the
-    /// bank has now failed.
-    fn stay(&mut self, region: u64, entry: u64, writes: u64) -> (u64, bool);
-}
-
-/// Dense per-slot wear with first-failure detection (the historical
-/// engine state).
-struct DenseSink {
-    /// Hammer-deposit wear per slot; slot index = region * (n_r+1) + offset.
-    wear: Vec<u32>,
-    /// Inner gap-rotation background writes per sub-region (one write per
-    /// slot per lap of remap traffic).
-    background: Vec<u32>,
-    /// Peak hammer wear per sub-region. The effective wear of a slot is
-    /// `wear[slot] + background[region]`, so the first endurance crossing
-    /// in a region is at `region_peak + background` — which a region-wide
-    /// `background` increment can push over the limit on a slot the
-    /// current deposit never touched.
-    region_peak: Vec<u32>,
-    /// Slots per sub-region (`n_r + 1`).
-    slots: u64,
-    /// Writes per inner rotation lap (`(n_r+1)·ψ_in`).
-    lap: u64,
-    endurance: u64,
-}
-
-impl DenseSink {
-    fn new(params: &PcmParams, cfg: &SrbsgParams) -> Self {
-        let n_r = params.lines / cfg.sub_regions;
-        let slots = n_r + 1;
-        Self {
-            wear: vec![0; (cfg.sub_regions * slots) as usize],
-            background: vec![0; cfg.sub_regions as usize],
-            region_peak: vec![0; cfg.sub_regions as usize],
-            slots,
-            lap: slots * cfg.inner_interval,
-            endurance: params.endurance,
-        }
-    }
-}
-
-impl StaySink for DenseSink {
-    fn stay(&mut self, region: u64, entry: u64, mut writes: u64) -> (u64, bool) {
-        let mut slot = entry;
-        let mut deposited = 0u64;
-        let mut failed = false;
-        while writes > 0 && !failed {
-            let deposit = writes.min(self.lap);
-            let idx = (region * self.slots + slot) as usize;
-            self.wear[idx] += deposit as u32;
-            deposited += deposit;
-            let peak = &mut self.region_peak[region as usize];
-            *peak = (*peak).max(self.wear[idx]);
-            if deposit == self.lap {
-                // A full lap of remap traffic rewrites one line per slot.
-                self.background[region as usize] += 1;
-            }
-            // First crossing anywhere in the region: the background
-            // increment applies to every slot, so the region's peak slot
-            // (not necessarily the one just written) decides failure.
-            if *peak as u64 + self.background[region as usize] as u64 >= self.endurance {
-                failed = true;
-            }
-            writes -= deposit;
-            slot = (slot + 1) % self.slots;
-        }
-        (deposited, failed)
-    }
-}
-
-/// Streaming sink: the same deposit sequence, folded in closed form into
-/// a [`WearAccumulator`] (O(1) ranges per stay instead of O(writes/lap)
-/// slot increments). Never fails — distribution sweeps accumulate past
-/// any endurance.
-pub(crate) struct StreamSink {
-    pub(crate) acc: WearAccumulator,
-    /// Slots per sub-region (`n_r + 1`).
-    pub(crate) slots: u64,
-    /// Writes per inner rotation lap (`(n_r+1)·ψ_in`).
-    pub(crate) lap: u64,
-}
-
-impl StaySink for StreamSink {
-    fn stay(&mut self, region: u64, entry: u64, writes: u64) -> (u64, bool) {
-        let base = region * self.slots;
-        // `f` full-lap quanta land on consecutive slots from `entry`
-        // (wrapping), then a remainder on the next slot. Each full lap
-        // also rewrites one line per slot of the region (background).
-        let f = writes / self.lap;
-        let rem = writes % self.lap;
-        let wraps = f / self.slots;
-        let leftover = f % self.slots;
-        // Every slot of the region: `wraps` full laps of hammer wear plus
-        // `f` background writes.
-        let region_wide = wraps * self.lap + f;
-        if region_wide > 0 {
-            self.acc.add_range(base, base + self.slots, region_wide);
-        }
-        if leftover > 0 {
-            let end = entry + leftover;
-            if end <= self.slots {
-                self.acc.add_range(base + entry, base + end, self.lap);
-            } else {
-                self.acc
-                    .add_range(base + entry, base + self.slots, self.lap);
-                self.acc
-                    .add_range(base, base + (end - self.slots), self.lap);
-            }
-        }
-        if rem > 0 {
-            self.acc.add(base + (entry + f) % self.slots, rem);
-        }
-        (writes, false)
-    }
-}
-
-/// Round-level RAA engine.
-///
-/// Per outer DFN round the hammered LA maps to `ENC_Kp(la)` until its
-/// remap point (≈ uniformly placed within the round) and `ENC_Kc(la)`
-/// after — two sub-region *stays* per round, with the keys drawn as real
-/// Feistel networks so any non-uniformity of few-stage networks shows up
-/// in the visit statistics. Within a stay, the inner Start-Gap parks the
-/// line on one slot per rotation lap (`(n_r+1)·ψ_in` writes) and then
-/// advances it to the next slot, so wear lands in runs of consecutive
-/// slots starting at the line's (key-random) entry slot. First-failure
-/// statistics are dominated by these lap-sized deposit quanta, which the
-/// engine preserves exactly. Generic over the [`StaySink`] so the
-/// lifetime (dense, failure-detecting) and distribution (streaming)
-/// engines consume one RNG stream and one deposit model.
-struct RaaCore<S: StaySink> {
-    params: PcmParams,
-    cfg: SrbsgParams,
-    rng: SmallRng,
-    sink: S,
-    /// The hammered LA's image under the previous round's keys. The
-    /// engine translates exactly one pinned address per key, and each
-    /// round's `enc_c` becomes the next round's `enc_p` — so caching the
-    /// single image (instead of the whole network) halves the Feistel
-    /// work per round, bit-identically: the constructor still draws the
-    /// initial network from the same RNG position.
-    ia_p: u64,
-    total_writes: u128,
-    failed: bool,
-    la: u64,
-}
-
-/// The historical lifetime engine: dense slots + failure detection.
-type RaaEngine = RaaCore<DenseSink>;
-
-impl RaaEngine {
-    fn new(params: PcmParams, cfg: SrbsgParams, seed: u64) -> Self {
-        let sink = DenseSink::new(&params, &cfg);
-        Self::with_sink(params, cfg, seed, sink)
-    }
-
-    fn lifetime(mut self) -> Lifetime {
-        while self.round() {}
-        finish(&self.params, &self.cfg, self.total_writes)
-    }
-}
-
-impl<S: StaySink> RaaCore<S> {
-    fn with_sink(params: PcmParams, cfg: SrbsgParams, seed: u64, sink: S) -> Self {
-        let mut rng = SmallRng::seed_from_u64(seed);
-        let la = 0;
-        let enc_p = FeistelNetwork::random(&mut rng, params.width(), cfg.stages);
-        Self {
-            params,
-            cfg,
-            rng,
-            sink,
-            ia_p: enc_p.encrypt(la),
-            total_writes: 0,
-            failed: false,
-            la,
-        }
-    }
-
-    fn n_r(&self) -> u64 {
-        self.params.lines / self.cfg.sub_regions
-    }
-
-    /// Deposit `writes` hammer writes into `region`, spreading them in
-    /// lap-sized quanta over consecutive slots from a random entry point.
-    /// The entry draw happens unconditionally (even on a failed bank) so
-    /// every sink sees the identical RNG stream.
-    fn deposit_stay(&mut self, region: u64, writes: u64) {
-        let slots = self.n_r() + 1;
-        let entry = self.rng.random_range(0..slots);
-        if self.failed {
-            return;
-        }
-        let (deposited, failed) = self.sink.stay(region, entry, writes);
-        self.total_writes += deposited as u128;
-        self.failed |= failed;
-    }
-
-    /// Advance one outer DFN round; returns false once the bank failed.
-    fn round(&mut self) -> bool {
-        if self.failed {
-            return false;
-        }
-        let n = self.params.lines;
-        let n_r = self.n_r();
-        let round_writes = n * self.cfg.outer_interval;
-        // Fresh current-round keys; la flips from the enc_p image to the
-        // enc_c image at a uniformly random point of the round (gap-chase
-        // order is key-random).
-        let enc_c = FeistelNetwork::random(&mut self.rng, self.params.width(), self.cfg.stages);
-        let ia_p = self.ia_p;
-        let ia_c = enc_c.encrypt(self.la);
-        let flip = self.rng.random_range(0.0..1.0f64);
-        let mut w1 = (round_writes as f64 * flip) as u64;
-        let mut w2 = round_writes - w1;
-        // Parking: while the hammered LA heads the cycle being migrated,
-        // its writes land in the SRAM-backed spare and wear nothing. Cycle
-        // lengths of the round permutation are modeled as uniform on 1..=N
-        // and the LA heads its cycle with probability 1/len.
-        let cycle_len = self.rng.random_range(1..=n);
-        if self.rng.random_range(0..cycle_len) == 0 {
-            let parked_writes = (cycle_len * self.cfg.outer_interval).min(round_writes);
-            let taken1 = w1.min(parked_writes);
-            w1 -= taken1;
-            w2 -= (parked_writes - taken1).min(w2);
-            self.total_writes += parked_writes as u128;
-        }
-        self.deposit_stay(ia_p / n_r, w1);
-        self.deposit_stay(ia_c / n_r, w2);
-        self.ia_p = ia_c;
-        !self.failed
-    }
-}
-
 /// Convert a write count into a [`Lifetime`] with the scheme's amortized
 /// remap overhead: one inner move per ψ_in region writes, one outer move
 /// per ψ_out bank writes.
@@ -295,67 +50,6 @@ pub(crate) fn finish(params: &PcmParams, cfg: &SrbsgParams, writes: u128) -> Lif
         writes,
         ns: (writes as f64 * per_write) as u128,
     }
-}
-
-/// RAA lifetime of Security RBSG (Figs. 14 & 15).
-pub fn srbsg_raa_lifetime(params: &PcmParams, cfg: &SrbsgParams, seed: u64) -> Lifetime {
-    RaaEngine::new(*params, *cfg, seed).lifetime()
-}
-
-/// Per-line wear after `total_writes` RAA writes — the data behind Fig. 16.
-/// Returns the hammer+background wear of every physical slot.
-pub fn srbsg_raa_wear_distribution(
-    params: &PcmParams,
-    cfg: &SrbsgParams,
-    total_writes: u128,
-    seed: u64,
-) -> Vec<u64> {
-    let mut eng = RaaEngine::new(*params, *cfg, seed);
-    // Disable failure so the distribution keeps accumulating.
-    eng.sink.endurance = u64::MAX;
-    while eng.total_writes < total_writes {
-        eng.round();
-    }
-    let n_r = params.lines / cfg.sub_regions;
-    let slots = n_r + 1;
-    eng.sink
-        .wear
-        .iter()
-        .enumerate()
-        .map(|(i, &w)| w as u64 + eng.sink.background[i / slots as usize] as u64)
-        .collect()
-}
-
-/// Streaming variant of [`srbsg_raa_wear_distribution`]: the identical
-/// RNG stream and deposit sequence, folded into a fixed-size
-/// [`WearAccumulator`] (`points` curve positions, at most `max_regions`
-/// Gini regions) instead of a dense per-slot `Vec`.
-///
-/// The returned accumulator's [`WearAccumulator::curve`] is bit-identical
-/// to `normalized_cumulative_wear(&srbsg_raa_wear_distribution(..), points)`;
-/// peak memory is O(points + max_regions) regardless of the platform's
-/// line count, which is what lets the Fig. 16 sweep fan out across
-/// workers past 2²² lines.
-pub fn srbsg_raa_wear_profile(
-    params: &PcmParams,
-    cfg: &SrbsgParams,
-    total_writes: u128,
-    seed: u64,
-    points: usize,
-    max_regions: u64,
-) -> WearAccumulator {
-    let n_r = params.lines / cfg.sub_regions;
-    let slots = n_r + 1;
-    let sink = StreamSink {
-        acc: WearAccumulator::new(cfg.sub_regions * slots, points, max_regions),
-        slots,
-        lap: slots * cfg.inner_interval,
-    };
-    let mut eng = RaaCore::with_sink(*params, *cfg, seed, sink);
-    while eng.total_writes < total_writes {
-        eng.round();
-    }
-    eng.sink.acc
 }
 
 /// BPA lifetime of Security RBSG (Fig. 14).
@@ -418,7 +112,7 @@ pub fn srbsg_bpa_lifetime_analytic(params: &PcmParams, cfg: &SrbsgParams) -> Lif
 /// two-level SR.
 pub fn srbsg_rta_lifetime(params: &PcmParams, cfg: &SrbsgParams, seed: u64) -> Lifetime {
     if detection_margin(params.width(), cfg.outer_interval, cfg.stages as u64) > 1.0 {
-        return srbsg_raa_lifetime(params, cfg, seed);
+        return srbsg_raa_lifetime_split(params, cfg, seed, 1);
     }
     // Keys are recoverable within a round: the attacker pours each round's
     // writes (minus detection) into one tracked sub-region.
@@ -442,9 +136,6 @@ pub fn srbsg_rta_lifetime(params: &PcmParams, cfg: &SrbsgParams, seed: u64) -> L
 #[cfg(test)]
 mod tests {
     use super::*;
-    use srbsg_attacks::RepeatedAddressAttack;
-    use srbsg_core::{SecurityRbsg, SecurityRbsgConfig};
-    use srbsg_pcm::MemoryController;
 
     fn small_cfg() -> SrbsgParams {
         SrbsgParams {
@@ -453,81 +144,6 @@ mod tests {
             outer_interval: 8,
             stages: 5,
         }
-    }
-
-    /// Regression: a region-wide `background` increment must fail a slot
-    /// the current deposit never touched. The pre-fix engine only checked
-    /// the slot just written and sailed past the crossing.
-    #[test]
-    fn background_wear_fails_untouched_slots() {
-        let params = PcmParams::small(6, 1_000);
-        let cfg = SrbsgParams {
-            sub_regions: 4,
-            inner_interval: 4,
-            outer_interval: 8,
-            stages: 3,
-        };
-        let n_r = params.lines / cfg.sub_regions; // 16
-        let slots = n_r + 1;
-        let lap = slots * cfg.inner_interval; // 68 writes per full lap
-
-        // Run a scout engine to learn which slots a 2-lap deposit into
-        // region 0 touches (the entry slot is an RNG draw).
-        let mut scout = RaaEngine::new(params, cfg, 0);
-        scout.deposit_stay(0, 2 * lap);
-        let touched: Vec<u64> = (0..slots)
-            .filter(|&s| scout.sink.wear[s as usize] > 0)
-            .collect();
-        assert_eq!(touched.len(), 2, "two full laps touch two slots");
-
-        // Fresh engine, same seed → same RNG stream → same entry slot.
-        // Pre-wear an *untouched* slot of region 0 to E−1: the first full
-        // lap's background increment pushes it to E.
-        let mut eng = RaaEngine::new(params, cfg, 0);
-        let victim = (0..slots).find(|s| !touched.contains(s)).unwrap();
-        eng.sink.wear[victim as usize] = (params.endurance - 1) as u32;
-        eng.sink.region_peak[0] = (params.endurance - 1) as u32;
-        eng.deposit_stay(0, 2 * lap);
-        assert!(
-            eng.failed,
-            "background increment crossed endurance on slot {victim} but went undetected"
-        );
-    }
-
-    /// Round-level RAA engine vs exact simulation at small scale.
-    #[test]
-    #[ignore = "heavy cross-validation vs exact simulation (~11 s debug); run by the CI heavy-tests step via --ignored"]
-    fn raa_engine_matches_exact_simulation() {
-        let params = PcmParams::small(10, 30_000);
-        let cfg = small_cfg();
-
-        let mut exact = Vec::new();
-        for seed in 0..3u64 {
-            let scheme = SecurityRbsg::new(SecurityRbsgConfig {
-                width: 10,
-                sub_regions: cfg.sub_regions,
-                inner_interval: cfg.inner_interval,
-                outer_interval: cfg.outer_interval,
-                stages: cfg.stages,
-                seed,
-            });
-            let mut mc = MemoryController::new(scheme, params.endurance, params.timing);
-            let out = RepeatedAddressAttack::default().run(&mut mc, u128::MAX >> 1);
-            assert!(out.failed_memory);
-            exact.push(out.attack_writes as f64);
-        }
-        let exact_avg = exact.iter().sum::<f64>() / exact.len() as f64;
-
-        let mut ff = Vec::new();
-        for seed in 0..5u64 {
-            ff.push(srbsg_raa_lifetime(&params, &cfg, seed).writes as f64);
-        }
-        let ff_avg = ff.iter().sum::<f64>() / ff.len() as f64;
-        let ratio = ff_avg / exact_avg;
-        assert!(
-            (0.4..2.5).contains(&ratio),
-            "fast-forward {ff_avg} vs exact {exact_avg} (ratio {ratio})"
-        );
     }
 
     #[test]
@@ -542,7 +158,7 @@ mod tests {
             stages: 7,
         };
         let ideal = params.ideal_lifetime().writes as f64;
-        let raa = srbsg_raa_lifetime(&params, &cfg, 1).writes as f64;
+        let raa = srbsg_raa_lifetime_split(&params, &cfg, 1, 1).writes as f64;
         let frac = raa / ideal;
         assert!((0.3..1.0).contains(&frac), "RAA fraction of ideal: {frac}");
     }
@@ -571,7 +187,7 @@ mod tests {
             stages: 7, // 7·16 = 112 > 32 → margin holds
         };
         let rta = srbsg_rta_lifetime(&params, &cfg, 3);
-        let raa = srbsg_raa_lifetime(&params, &cfg, 3);
+        let raa = srbsg_raa_lifetime_split(&params, &cfg, 3, 1);
         assert_eq!(rta.writes, raa.writes);
     }
 
@@ -585,7 +201,7 @@ mod tests {
             stages: 2, // 2·16 = 32 < 128 → keys recoverable
         };
         let rta = srbsg_rta_lifetime(&params, &cfg, 3);
-        let raa = srbsg_raa_lifetime(&params, &cfg, 3);
+        let raa = srbsg_raa_lifetime_split(&params, &cfg, 3, 1);
         assert!(
             rta.ns * 3 < raa.ns,
             "under-provisioned DFN should fall to RTA: rta {} raa {}",
@@ -607,108 +223,6 @@ mod tests {
         assert!(
             (0.5..2.0).contains(&ratio),
             "analytic {analytic} vs engine {engine} (ratio {ratio})"
-        );
-    }
-
-    /// The streaming sink's closed-form stay must reproduce the dense
-    /// sink's slot-by-slot loop exactly, including multi-wrap stays and
-    /// background accounting.
-    #[test]
-    fn stream_sink_stay_equals_dense_sink_stay() {
-        let params = PcmParams::small(8, u64::MAX >> 1);
-        let cfg = small_cfg();
-        let n_r = params.lines / cfg.sub_regions;
-        let slots = n_r + 1;
-        let lap = slots * cfg.inner_interval;
-        let total_slots = cfg.sub_regions * slots;
-
-        let mut dense = DenseSink::new(&params, &cfg);
-        let mut stream = StreamSink {
-            acc: srbsg_pcm::WearAccumulator::new(total_slots, 16, total_slots),
-            slots,
-            lap,
-        };
-        // Stays covering: zero, sub-lap remainder, exact laps, wrap within
-        // the region, and multiple full wraps of the region.
-        let stays = [
-            (0u64, 0u64, 0u64),
-            (0, 3, lap / 2 + 1),
-            (1, slots - 1, 3 * lap),
-            (2, slots - 2, slots * lap + 7),
-            (3, 5, 3 * slots * lap + 2 * lap + 11),
-        ];
-        let mut expect_dense: u128 = 0;
-        for &(region, entry, writes) in &stays {
-            let (dep_d, fail_d) = dense.stay(region, entry, writes);
-            let (dep_s, fail_s) = stream.stay(region, entry, writes);
-            assert_eq!(dep_d, dep_s);
-            assert!(!fail_d && !fail_s);
-            expect_dense += writes as u128;
-        }
-        let final_dense: Vec<u64> = dense
-            .wear
-            .iter()
-            .enumerate()
-            .map(|(i, &w)| w as u64 + dense.background[i / slots as usize] as u64)
-            .collect();
-        // Background writes are extra traffic on top of hammer deposits.
-        let bg: u128 = dense
-            .background
-            .iter()
-            .map(|&b| b as u128 * slots as u128)
-            .sum();
-        assert_eq!(stream.acc.total(), expect_dense + bg);
-        let rebuilt = srbsg_pcm::WearAccumulator::from_wear(&final_dense, 16, total_slots);
-        assert_eq!(stream.acc, rebuilt);
-    }
-
-    /// End to end: the streaming profile consumes the same RNG stream as
-    /// the dense distribution and yields a bit-identical Fig. 16 curve.
-    #[test]
-    fn streaming_profile_matches_dense_distribution() {
-        let params = PcmParams::small(10, u64::MAX >> 1);
-        let cfg = small_cfg();
-        let points = 20;
-        let total = 1u128 << 22;
-        let dense = srbsg_raa_wear_distribution(&params, &cfg, total, 9);
-        let slots_total = dense.len() as u64;
-        // Unit-width regions so even the Gini matches the dense scalar.
-        let profile = srbsg_raa_wear_profile(&params, &cfg, total, 9, points, slots_total);
-        assert_eq!(
-            profile.curve(),
-            srbsg_pcm::normalized_cumulative_wear(&dense, points)
-        );
-        assert_eq!(
-            profile.total(),
-            dense.iter().map(|&w| w as u128).sum::<u128>()
-        );
-        assert!((profile.region_gini() - srbsg_pcm::gini_coefficient(&dense)).abs() < 1e-12);
-        // The production configuration (coarse regions) keeps the curve
-        // identical; only the Gini granularity changes.
-        let coarse = srbsg_raa_wear_profile(&params, &cfg, total, 9, points, 256);
-        assert_eq!(
-            coarse.curve(),
-            srbsg_pcm::normalized_cumulative_wear(&dense, points)
-        );
-    }
-
-    #[test]
-    fn wear_distribution_flattens_with_more_writes() {
-        // Fig. 16: the normalized cumulative wear curve approaches the
-        // diagonal as writes accumulate.
-        let params = PcmParams::small(12, u64::MAX >> 1);
-        let cfg = small_cfg();
-        let few = srbsg_raa_wear_distribution(&params, &cfg, 1 << 22, 5);
-        let many = srbsg_raa_wear_distribution(&params, &cfg, 1 << 28, 5);
-        let g_few = srbsg_pcm::gini_coefficient(&few);
-        let g_many = srbsg_pcm::gini_coefficient(&many);
-        assert!(
-            g_many < g_few,
-            "more writes should even out wear: gini {g_few} -> {g_many}"
-        );
-        assert!(
-            g_many < 0.2,
-            "long-run wear should be near-uniform: {g_many}"
         );
     }
 }

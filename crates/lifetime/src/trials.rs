@@ -14,19 +14,8 @@ use srbsg_pcm::FaultConfig;
 use crate::faults::{srbsg_raa_degraded_exact, srbsg_raa_degraded_lifetime, DegradationLifetime};
 use crate::rbsg::rbsg_rta_lifetime;
 use crate::sr2::{sr2_raa_lifetime, sr2_rta_lifetime};
-use crate::srbsg::{srbsg_bpa_lifetime, srbsg_raa_lifetime, srbsg_rta_lifetime, SrbsgParams};
+use crate::srbsg::{srbsg_bpa_lifetime, srbsg_rta_lifetime, SrbsgParams};
 use crate::{Lifetime, PcmParams};
-
-/// One [`crate::srbsg_raa_lifetime`] trial per seed, in seed order.
-pub fn srbsg_raa_lifetime_trials(
-    params: &PcmParams,
-    cfg: &SrbsgParams,
-    seeds: &[u64],
-    jobs: usize,
-) -> Vec<Lifetime> {
-    let (p, c) = (*params, *cfg);
-    par_map(seeds.to_vec(), jobs, move |s| srbsg_raa_lifetime(&p, &c, s))
-}
 
 /// One [`crate::srbsg_bpa_lifetime`] trial per seed, in seed order.
 pub fn srbsg_bpa_lifetime_trials(
@@ -152,13 +141,13 @@ mod tests {
 
         let serial: Vec<Lifetime> = seeds
             .iter()
-            .map(|&s| srbsg_raa_lifetime(&params, &cfg, s))
+            .map(|&s| srbsg_rta_lifetime(&params, &cfg, s))
             .collect();
         for jobs in [1, 2, 4, 8] {
             assert_eq!(
-                srbsg_raa_lifetime_trials(&params, &cfg, &seeds, jobs),
+                srbsg_rta_lifetime_trials(&params, &cfg, &seeds, jobs),
                 serial,
-                "srbsg raa, jobs={jobs}"
+                "srbsg rta, jobs={jobs}"
             );
         }
 

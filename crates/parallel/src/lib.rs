@@ -40,7 +40,7 @@ pub fn splitmix64(x: u64) -> u64 {
 /// The index is spread by a wyhash-style odd multiplier before the
 /// SplitMix64 finalizer, so adjacent indices land far apart in seed
 /// space. `srbsg_workloads::shard_seed(master, bank)` is exactly
-/// `stream_seed(master, bank as u64)`, and the split-trial RAA engine
+/// `stream_seed(master, bank as u64)`, and the round-range RAA engine
 /// keys round `r` of trial `seed` as `stream_seed(seed, r)`.
 #[inline]
 pub fn stream_seed(master: u64, index: u64) -> u64 {

@@ -1,4 +1,4 @@
-//! `WearAccumulator::merge` algebra, proptested: the split-trial RAA
+//! `WearAccumulator::merge` algebra, proptested: the round-range RAA
 //! engine folds per-range accumulators in range order, so merge must be
 //! associative, commutative over disjoint (and in fact arbitrary)
 //! deposits, and agree with building one accumulator from the summed
@@ -49,7 +49,7 @@ proptest! {
     }
 
     /// merge(a, b) == merge(b, a), including for accumulators built from
-    /// disjoint address ranges (the split-trial case: each worker's
+    /// disjoint address ranges (the round-range case: each worker's
     /// deposits land wherever its rounds say, and order must not matter).
     #[test]
     fn merge_is_commutative(

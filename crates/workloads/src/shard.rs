@@ -16,7 +16,7 @@ use crate::{SequentialTrace, StridedTrace, TraceGenerator, UniformTrace, ZipfTra
 pub use srbsg_parallel::splitmix64;
 
 /// Independent RNG seed for `bank`'s shard of a run keyed by `master`.
-/// Same derivation as [`srbsg_parallel::stream_seed`] — the split-trial
+/// Same derivation as [`srbsg_parallel::stream_seed`] — the round-range
 /// RAA engine keys its per-round streams with the identical formula.
 pub fn shard_seed(master: u64, bank: usize) -> u64 {
     srbsg_parallel::stream_seed(master, bank as u64)
