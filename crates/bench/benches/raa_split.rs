@@ -1,4 +1,4 @@
-//! RAA lifetime throughput of the round-range engine
+//! RAA lifetime throughput of the round engine
 //! (`srbsg_raa_lifetime_split`) at 1, 2, 4, and 8 workers — one trial
 //! fanned over all cores instead of trials fanned over seeds.
 //!
@@ -15,9 +15,9 @@
 //!
 //! - `RAA_SPLIT_BENCH_QUICK=1` — smaller platform, fewer repetitions
 //!   (CI smoke mode).
-//! - `SRBSG_BENCH_ASSERT=1` — fail unless jobs=4 is ≥2× jobs=1 when the
-//!   host has ≥4 cores, and jobs=8 ≥3× jobs=1 when it has ≥8. The
-//!   jobs=2 / jobs=1 ratio is reported, not gated.
+//! - `SRBSG_BENCH_ASSERT=1` — fail unless jobs=2 is at least as fast as
+//!   jobs=1 when the host has ≥2 cores, jobs=4 ≥2× jobs=1 when it has
+//!   ≥4, and jobs=8 ≥3× jobs=1 when it has ≥8.
 
 use criterion::{black_box, Criterion};
 use srbsg_lifetime::{srbsg_raa_lifetime_split, PcmParams, SrbsgParams};
@@ -95,8 +95,6 @@ fn main() {
         })
         .collect();
     let rate_at = |jobs: usize| rates.iter().find(|(j, _)| *j == jobs).unwrap().1;
-    // Known defect (ROADMAP): on small hosts fanning one trial over two
-    // workers can be slower than one. Reported for tracking, not gated.
     let j2_over_j1 = rate_at(2) / serial;
 
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
@@ -114,7 +112,7 @@ fn main() {
     println!("[wrote {path}]");
 
     let mut gate_ok = true;
-    for (min_cores, jobs, min_speedup) in [(4usize, 4usize, 2.0f64), (8, 8, 3.0)] {
+    for (min_cores, jobs, min_speedup) in [(2usize, 2usize, 1.0f64), (4, 4, 2.0), (8, 8, 3.0)] {
         if cores < min_cores {
             println!("(skipping jobs={jobs} scaling gate: only {cores} core(s) available)");
             continue;

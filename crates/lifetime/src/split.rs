@@ -29,29 +29,34 @@
 //! **Sinks.** `round_plans` yields each round's fully determined deposit
 //! schedule; consumers fold the schedules into their own sink:
 //!
-//! * [`srbsg_raa_lifetime_split`]: never-failing range tallies
-//!   (`RangeWear`) merged in order, then an exact replay of the crossing
-//!   range (`ExactWear`);
+//! * [`srbsg_raa_lifetime_split`]: `ExactWear`, an exact-failure wear
+//!   image sharded by sub-region;
 //! * [`srbsg_raa_wear_profile_split`]: `StreamSink`, a closed-form fold
 //!   into a [`WearAccumulator`];
 //! * [`crate::srbsg_raa_degraded_lifetime`]: a fault-injected `PcmBank`.
 //!
-//! **Lifetime merge semantics.** Workers simulate disjoint round ranges
-//! into private never-failing wear tallies (dense `u64` per-slot hammer
-//! wear + per-region background counts). [`srbsg_parallel::par_fold`]
-//! merges the tallies *in range order* into a cumulative base; because
-//! wear is monotone, the first range whose merged base crosses the
-//! endurance anywhere is exactly the range containing the first failure
-//! — ranges before it can never have crossed at any intermediate write.
-//! The engine then recovers the pre-range baseline (an exact `u64`
-//! subtraction), replays that one range serially with exact failure
-//! semantics (lap-quantum deposits, region-peak + background crossing
-//! checks, partial final stay), and stops. The earliest crossing
-//! therefore wins deterministically, and the result is bit-identical to
-//! a serial execution of the same per-round streams for **any** worker
-//! count and any range partition. A shared stop flag lets workers skip
-//! ranges past a found crossing; skipped ranges are ignored by the
-//! in-order fold, so the flag affects wall-clock only.
+//! **Lifetime semantics.** One trial runs in one scope of `jobs` workers.
+//! Each worker owns a shard of contiguous sub-regions: their slots'
+//! hammer wear, background counts and peaks. Round plans are drawn in
+//! parallel, a fixed-width round range per claim, and deposited in
+//! batches: every worker walks every plan of a batch in round order and
+//! deposits the stays that land in its shard, while drawing the next
+//! batch once its deposits are done. The deposit model shares no state
+//! across regions, so each shard sees exactly the wear a serial run gives
+//! its regions, and its first crossing is exact. A stay is deposited in
+//! closed form with peak tracking; only a stay whose end state reaches
+//! the endurance is undone (an exact `u64` subtraction) and walked
+//! quantum by quantum to the failing one. Each shard reports its first
+//! crossing as (round, stay index, demand writes of that round so far),
+//! and the trial fails at the lexicographic minimum over shards: the
+//! second stay of a round counts only if the first did not fail, as in
+//! `RoundPlan::deposit`. Every earlier round contributes exactly `N·ψ_out`
+//! demand writes (parked traffic displaces deposits), so the total is
+//! closed-form, and the result is bit-identical to a serial walk of the
+//! same per-round streams for **any** worker count and batch size. A
+//! shared earliest-crossing round lets shards skip ranges that start past
+//! it and workers skip draws once a crossing is known; later rounds
+//! cannot hold the first failure, so it affects wall-clock only.
 //!
 //! **Profile merge semantics.** Wear-distribution sweeps need no failure
 //! detection: each range folds its deposits in closed form into a
@@ -69,7 +74,8 @@ use srbsg_feistel::{AddressPermutation, FeistelNetwork};
 use srbsg_parallel::{par_fold, stream_seed};
 use srbsg_pcm::WearAccumulator;
 use std::ops::Range;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Barrier, RwLock};
 
 use crate::srbsg::{finish, SrbsgParams};
 use crate::{Lifetime, PcmParams};
@@ -78,11 +84,15 @@ use crate::{Lifetime, PcmParams};
 /// bounded by the endurance horizon, far below this.
 const INIT_STREAM: u64 = u64::MAX;
 
-/// Ranges per estimated lifetime: the fixed, jobs-independent partition
-/// granularity of one trial. Fine enough to keep workers busy and to
-/// bound the replayed tail, coarse enough that per-range setup (one
-/// dense tally + one predecessor network) stays negligible.
+/// Ranges per estimated lifetime: the fixed partition granularity of
+/// one trial (lifetime draws, profile folds). Fine enough to keep workers
+/// busy, coarse enough that per-range setup (one predecessor network)
+/// stays negligible.
 const RANGES_PER_TRIAL: usize = 96;
+
+/// Round ranges a lifetime trial draws and deposits between two worker
+/// synchronizations.
+const RANGES_PER_BATCH: usize = 8;
 
 /// Slot layout of the bank under Security RBSG.
 #[derive(Debug, Clone, Copy)]
@@ -155,15 +165,17 @@ fn prev_image(params: &PcmParams, cfg: &SrbsgParams, seed: u64, r: u64) -> u64 {
     }
 }
 
-/// The fully determined deposit schedule of one round: two stays plus
-/// parked traffic.
+/// One sub-region stay: `writes` hammer writes entering at slot `entry`.
+pub(crate) struct Stay {
+    region: u64,
+    entry: u64,
+    writes: u64,
+}
+
+/// The fully determined deposit schedule of one round: two stays (the
+/// previous-image stay, then the current-image stay) plus parked traffic.
 pub(crate) struct RoundPlan {
-    region1: u64,
-    entry1: u64,
-    w1: u64,
-    region2: u64,
-    entry2: u64,
-    w2: u64,
+    stays: [Stay; 2],
     parked_writes: u64,
 }
 
@@ -177,13 +189,15 @@ impl RoundPlan {
         &self,
         mut stay: impl FnMut(u64, u64, u64) -> (u64, bool),
     ) -> (u128, bool) {
-        let (first, failed) = stay(self.region1, self.entry1, self.w1);
-        let writes = self.parked_writes as u128 + first as u128;
-        if failed {
-            return (writes, true);
+        let mut writes = self.parked_writes as u128;
+        for s in &self.stays {
+            let (deposited, failed) = stay(s.region, s.entry, s.writes);
+            writes += deposited as u128;
+            if failed {
+                return (writes, true);
+            }
         }
-        let (second, failed) = stay(self.region2, self.entry2, self.w2);
-        (writes + second as u128, failed)
+        (writes, false)
     }
 }
 
@@ -203,12 +217,18 @@ fn round_plan(params: &PcmParams, cfg: &SrbsgParams, ia_p: u64, d: &RoundDraws) 
         w2 -= (parked_writes - taken1).min(w2);
     }
     RoundPlan {
-        region1: ia_p / n_r,
-        entry1: d.entry1,
-        w1,
-        region2: d.ia_c / n_r,
-        entry2: d.entry2,
-        w2,
+        stays: [
+            Stay {
+                region: ia_p / n_r,
+                entry: d.entry1,
+                writes: w1,
+            },
+            Stay {
+                region: d.ia_c / n_r,
+                entry: d.entry2,
+                writes: w2,
+            },
+        ],
         parked_writes,
     }
 }
@@ -258,183 +278,157 @@ pub(crate) fn stay_quanta(
     (deposited, false)
 }
 
-/// Never-failing dense wear: `u64` hammer wear per slot plus background
-/// laps per region. A worker's private tally for one round range, and
-/// the cumulative base the in-order merge builds. `u64` because a range
-/// can legitimately overshoot the endurance before the merge decides
-/// where the first crossing actually was.
-struct RangeWear {
+/// Closed form of [`stay_quanta`] without failure checks. Returns the
+/// stay's full-lap count `f = writes/lap` (the background writes it owes
+/// every slot of the region) and its hammer wear as runs of consecutive
+/// slots, each slot of a run gaining `amount`: `f / slots` whole wraps of
+/// the region, the other `f % slots` laps from `entry` (split in two where
+/// they wrap), then the remainder on the next slot. Empty runs are
+/// `0..0`.
+fn stay_runs(geo: Geometry, entry: u64, writes: u64) -> (u64, [(Range<u64>, u64); 4]) {
+    let Geometry { slots, lap } = geo;
+    let f = writes / lap;
+    let rem = writes % lap;
+    let wraps = f / slots;
+    let end = entry + f % slots;
+    let tail = (entry + f) % slots;
+    let runs = [
+        (0..if wraps > 0 { slots } else { 0 }, wraps * lap),
+        (entry..end.min(slots), lap),
+        (0..end.saturating_sub(slots), lap),
+        (tail..if rem > 0 { tail + 1 } else { tail }, rem),
+    ];
+    (f, runs)
+}
+
+/// Where a lifetime image first crosses the endurance: the round, the
+/// stay within it (0 or 1), and the round's demand writes up to and
+/// including the failing quantum (parked traffic, the whole first stay
+/// if the second failed, and the failing stay's deposits). Ordered
+/// lexicographically, so the minimum over shards is the trial's first
+/// failure and reproduces [`RoundPlan::deposit`]'s rule that the second
+/// stay never runs once the first fails.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+struct Crossing {
+    round: u64,
+    stay: usize,
+    writes: u128,
+}
+
+/// The lifetime sink: exact-failure wear of a contiguous run of
+/// sub-regions — `u64` hammer wear per slot, background laps and peak
+/// hammer wear per region. The effective wear of a slot is its hammer
+/// wear plus its region's background, so the first crossing in a region
+/// is at `peak + background` — which a region-wide background increment
+/// can push over the limit on a slot the current deposit never touched.
+/// Regions share no state, so a bank's regions can be split across
+/// images that are deposited independently.
+struct ExactWear {
+    geo: Geometry,
+    /// First sub-region of the image.
+    first: u64,
     wear: Vec<u64>,
     background: Vec<u64>,
-    geo: Geometry,
-}
-
-impl RangeWear {
-    fn new(params: &PcmParams, cfg: &SrbsgParams) -> Self {
-        let geo = Geometry::new(params, cfg);
-        Self {
-            wear: vec![0; (cfg.sub_regions * geo.slots) as usize],
-            background: vec![0; cfg.sub_regions as usize],
-            geo,
-        }
-    }
-
-    /// Closed form of [`stay_quanta`] without failure checks: `f =
-    /// writes/lap` full laps land on consecutive slots from `entry` (each
-    /// also rewriting one line per slot of the region), then the
-    /// remainder on the next slot.
-    fn stay(&mut self, region: u64, entry: u64, writes: u64) {
-        let Geometry { slots, lap } = self.geo;
-        let base = (region * slots) as usize;
-        let f = writes / lap;
-        let rem = writes % lap;
-        let wraps = f / slots;
-        let leftover = f % slots;
-        if wraps > 0 {
-            for w in &mut self.wear[base..base + slots as usize] {
-                *w += wraps * lap;
-            }
-        }
-        for k in 0..leftover {
-            self.wear[base + ((entry + k) % slots) as usize] += lap;
-        }
-        if rem > 0 {
-            self.wear[base + ((entry + f) % slots) as usize] += rem;
-        }
-        self.background[region as usize] += f;
-    }
-}
-
-/// Simulate rounds `[a, b)` into a private tally. Pure in
-/// `(params, cfg, seed, a, b)` — no state from rounds before `a`.
-fn simulate_range(params: &PcmParams, cfg: &SrbsgParams, seed: u64, a: u64, b: u64) -> RangeWear {
-    let mut tally = RangeWear::new(params, cfg);
-    for plan in round_plans(params, cfg, seed, a..b) {
-        tally.stay(plan.region1, plan.entry1, plan.w1);
-        tally.stay(plan.region2, plan.entry2, plan.w2);
-    }
-    tally
-}
-
-/// Dense wear with exact first-failure detection, checked after every
-/// quantum. The effective wear of a slot is its hammer wear plus its
-/// region's background, so the first crossing in a region is at
-/// `region_peak + background` — which a region-wide background increment
-/// can push over the limit on a slot the current deposit never touched.
-struct ExactWear {
-    base: RangeWear,
-    /// Peak hammer wear per sub-region.
-    region_peak: Vec<u64>,
+    peak: Vec<u64>,
     endurance: u64,
 }
 
 impl ExactWear {
-    fn new(base: RangeWear, endurance: u64) -> Self {
-        let slots = base.geo.slots as usize;
-        let region_peak = base
-            .wear
-            .chunks(slots)
-            .map(|region| region.iter().copied().max().unwrap_or(0))
-            .collect();
+    fn new(geo: Geometry, regions: Range<u64>, endurance: u64) -> Self {
+        let n = (regions.end - regions.start) as usize;
         Self {
-            base,
-            region_peak,
+            geo,
+            first: regions.start,
+            wear: vec![0; n * geo.slots as usize],
+            background: vec![0; n],
+            peak: vec![0; n],
             endurance,
         }
     }
 
-    /// One stay through [`stay_quanta`]; returns (writes deposited,
-    /// failed).
+    fn owns(&self, region: u64) -> bool {
+        region.wrapping_sub(self.first) < self.background.len() as u64
+    }
+
+    /// One stay in an owned region; returns (writes deposited, failed),
+    /// exactly as [`stay_quanta`] with a crossing check after every
+    /// quantum would. Fast path: the closed form with peak tracking. Wear
+    /// is monotone, so the stay crosses at some quantum iff its end state
+    /// does; only then is it undone (an exact `u64` subtraction) and
+    /// walked quantum by quantum to the failing one.
     fn stay(&mut self, region: u64, entry: u64, writes: u64) -> (u64, bool) {
-        let geo = self.base.geo;
-        let r = region as usize;
-        stay_quanta(geo, entry, writes, |slot, amount| {
-            let idx = (region * geo.slots + slot) as usize;
-            self.base.wear[idx] += amount;
-            self.region_peak[r] = self.region_peak[r].max(self.base.wear[idx]);
-            if amount == geo.lap {
-                self.base.background[r] += 1;
-            }
-            self.region_peak[r] + self.base.background[r] >= self.endurance
-        })
-    }
-}
-
-/// Replay rounds `[a, b)` on top of the pre-range baseline with exact
-/// failure semantics, returning the total demand writes at first
-/// failure. The caller guarantees the crossing lies inside `[a, b)`
-/// (the merged no-failure state at `b` crosses the endurance), so the
-/// replay always fails.
-fn replay_crossing_range(
-    params: &PcmParams,
-    cfg: &SrbsgParams,
-    seed: u64,
-    (a, b): (u64, u64),
-    baseline: RangeWear,
-) -> u128 {
-    let mut wear = ExactWear::new(baseline, params.endurance);
-    // Every completed round contributes exactly `N·ψ_out` demand writes
-    // (parked traffic replaces the deposits it displaces), so the prefix
-    // total is a closed form.
-    let mut total = a as u128 * (params.lines * cfg.outer_interval) as u128;
-    for plan in round_plans(params, cfg, seed, a..b) {
-        let (writes, failed) = plan.deposit(|region, entry, w| wear.stay(region, entry, w));
-        total += writes;
-        if failed {
-            return total;
-        }
-    }
-    panic!("crossing range [{a},{b}) did not fail on replay");
-}
-
-/// In-order fold state of the lifetime merge: the cumulative no-failure
-/// wear image plus the first range found to cross the endurance.
-struct LifetimeFold {
-    base: RangeWear,
-    endurance: u64,
-    crossing: Option<(u64, u64)>,
-}
-
-impl LifetimeFold {
-    /// Merge the next range in order. Adds the range tally into the
-    /// cumulative base while scanning for an endurance crossing; on the
-    /// first crossing, subtracts the tally back out (exact in `u64`) so
-    /// the base is the replay baseline, and records the range.
-    fn merge(&mut self, range: (u64, u64), tally: &RangeWear) {
-        if self.crossing.is_some() {
-            return;
-        }
-        let slots = tally.geo.slots as usize;
-        let mut crossed = false;
-        for (region, &bg) in tally.background.iter().enumerate() {
-            self.base.background[region] += bg;
-            let bg = self.base.background[region];
-            let slice = region * slots..(region + 1) * slots;
-            let mut peak = 0u64;
-            for (w, t) in self.base.wear[slice.clone()]
-                .iter_mut()
-                .zip(&tally.wear[slice])
-            {
-                *w += t;
+        let Geometry { slots, lap } = self.geo;
+        let r = (region - self.first) as usize;
+        let wear = &mut self.wear[r * slots as usize..(r + 1) * slots as usize];
+        let (f, runs) = stay_runs(self.geo, entry, writes);
+        let mut peak = self.peak[r];
+        for (run, amount) in runs.clone() {
+            for w in &mut wear[run.start as usize..run.end as usize] {
+                *w += amount;
                 peak = peak.max(*w);
             }
-            if peak + bg >= self.endurance {
-                crossed = true;
+        }
+        if peak + self.background[r] + f < self.endurance {
+            self.peak[r] = peak;
+            self.background[r] += f;
+            return (writes, false);
+        }
+        for (run, amount) in runs {
+            for w in &mut wear[run.start as usize..run.end as usize] {
+                *w -= amount;
             }
         }
-        if crossed {
-            for (w, t) in self.base.wear.iter_mut().zip(&tally.wear) {
-                *w -= t;
+        let (peak, background, endurance) =
+            (&mut self.peak[r], &mut self.background[r], self.endurance);
+        stay_quanta(self.geo, entry, writes, |slot, amount| {
+            let w = &mut wear[slot as usize];
+            *w += amount;
+            *peak = (*peak).max(*w);
+            if amount == lap {
+                *background += 1;
             }
-            for (b, t) in self.base.background.iter_mut().zip(&tally.background) {
-                *b -= t;
+            *peak + *background >= endurance
+        })
+    }
+
+    /// Deposit the stays of round `round` that land in this image's
+    /// regions; returns the crossing if one of them fails.
+    fn round(&mut self, round: u64, plan: &RoundPlan) -> Option<Crossing> {
+        let mut writes = plan.parked_writes as u128;
+        for (stay, s) in plan.stays.iter().enumerate() {
+            if self.owns(s.region) {
+                let (deposited, failed) = self.stay(s.region, s.entry, s.writes);
+                if failed {
+                    return Some(Crossing {
+                        round,
+                        stay,
+                        writes: writes + deposited as u128,
+                    });
+                }
             }
-            self.crossing = Some(range);
+            writes += s.writes as u128;
+        }
+        None
+    }
+}
+
+/// Held by each worker of a lifetime trial: if the worker panics, it
+/// flags the team and takes its place at the barrier once, so the others
+/// leave at the end of the batch instead of waiting for it forever; the
+/// scope then re-raises the panic.
+struct ReleaseOnPanic<'a>(&'a Barrier, &'a AtomicBool);
+
+impl Drop for ReleaseOnPanic<'_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            self.1.store(true, Ordering::SeqCst);
+            self.0.wait();
         }
     }
 }
 
-/// The fixed, jobs-independent round-range partition width of one trial.
+/// The fixed round-range width of one trial: the unit of draw work a
+/// worker claims.
 fn range_rounds(params: &PcmParams, cfg: &SrbsgParams) -> u64 {
     // The endurance horizon in rounds: the ideal lifetime `N·E` writes at
     // `N·ψ_out` writes per round. First failures land well inside it.
@@ -445,69 +439,131 @@ fn range_rounds(params: &PcmParams, cfg: &SrbsgParams) -> u64 {
 /// RAA lifetime of Security RBSG (Figs. 14 & 15), with one trial fanned
 /// over `jobs` workers.
 ///
-/// Bit-identical for any `jobs >= 1`: the round-range partition depends
-/// only on the parameters, ranges merge in order, and the earliest
-/// endurance crossing is replayed exactly (see module docs). Sweeps over
-/// many seeds fan across seeds instead and pass `jobs = 1`.
+/// Bit-identical for any `jobs >= 1`: every worker deposits every round
+/// in order into its own shard of the regions, and the earliest crossing
+/// over the shards is the trial's first failure (see module docs).
+/// Sweeps over many seeds fan across seeds instead and pass `jobs = 1`.
 pub fn srbsg_raa_lifetime_split(
     params: &PcmParams,
     cfg: &SrbsgParams,
     seed: u64,
     jobs: usize,
 ) -> Lifetime {
+    lifetime_batched(params, cfg, seed, jobs, RANGES_PER_BATCH)
+}
+
+/// [`srbsg_raa_lifetime_split`] synchronizing every `batch` round ranges.
+fn lifetime_batched(
+    params: &PcmParams,
+    cfg: &SrbsgParams,
+    seed: u64,
+    jobs: usize,
+    batch: usize,
+) -> Lifetime {
+    let geo = Geometry::new(params, cfg);
     let per_range = range_rounds(params, cfg);
-    let mut state = LifetimeFold {
-        base: RangeWear::new(params, cfg),
-        endurance: params.endurance,
-        crossing: None,
+    let batch = batch as u64;
+    let horizon = (params.endurance / cfg.outer_interval).max(1) * 1000;
+    let shards = jobs.clamp(1, cfg.sub_regions as usize) as u64;
+    // Plan buffers for two batches: workers deposit batch `k` while
+    // drawing batch `k + 1`.
+    let plans: Vec<RwLock<Vec<RoundPlan>>> =
+        (0..2 * batch).map(|_| RwLock::new(Vec::new())).collect();
+    let plans_of = |range: u64| &plans[(range % (2 * batch)) as usize];
+    // `next_range` and `best_round` are `Relaxed`: neither publishes
+    // data. Plans reach readers through their locks and the barrier,
+    // crossings through the workers' return values, and the barrier
+    // orders every update of `best_round` in a batch before the reads
+    // that end the trial.
+    let next_range = AtomicU64::new(0);
+    // Earliest crossing round any shard has found (`u64::MAX`: none yet).
+    // Later rounds cannot hold the first failure, so shards stop before
+    // any range that starts past it.
+    let best_round = AtomicU64::new(u64::MAX);
+    let barrier = Barrier::new(shards as usize);
+    let panicked = AtomicBool::new(false);
+    // Claim and draw round ranges below `end` until none are left or a
+    // crossing makes them moot.
+    let draw = |end: u64| {
+        while best_round.load(Ordering::Relaxed) == u64::MAX {
+            let Ok(i) = next_range.fetch_update(Ordering::Relaxed, Ordering::Relaxed, |i| {
+                (i < end).then_some(i + 1)
+            }) else {
+                break;
+            };
+            let a = i * per_range;
+            let mut buf = plans_of(i).write().expect("plan buffer poisoned");
+            buf.clear();
+            buf.extend(round_plans(params, cfg, seed, a..a + per_range));
+        }
     };
-    let mut batch_start = 0u64;
-    let crossing = loop {
-        let ranges: Vec<(u64, u64)> = (0..RANGES_PER_TRIAL as u64)
-            .map(|i| {
-                let a = batch_start + i * per_range;
-                (a, a + per_range)
-            })
-            .collect();
-        // Once the in-order fold finds the crossing, later ranges are
-        // dead weight: workers that observe the flag return a skip
-        // marker instead of simulating. The flag can only be set after
-        // every earlier range has been folded (the fold is strictly
-        // in-order), so a skipped range is always a discarded one — the
-        // output cannot depend on the race.
-        let stop = AtomicBool::new(false);
-        state = par_fold(
-            ranges,
-            jobs,
-            |(a, b)| {
-                if stop.load(Ordering::Relaxed) {
-                    None
-                } else {
-                    Some(((a, b), simulate_range(params, cfg, seed, a, b)))
+    // Wait for the whole team; false if a worker has panicked.
+    let sync = || {
+        barrier.wait();
+        !panicked.load(Ordering::SeqCst)
+    };
+    let worker = |w: u64| -> Option<Crossing> {
+        let _release = ReleaseOnPanic(&barrier, &panicked);
+        let regions = cfg.sub_regions * w / shards..cfg.sub_regions * (w + 1) / shards;
+        let mut wear = ExactWear::new(geo, regions, params.endurance);
+        draw(batch);
+        if !sync() {
+            return None;
+        }
+        let mut k = 0;
+        loop {
+            let mut crossing = None;
+            'batch: for i in k * batch..(k + 1) * batch {
+                if i * per_range > best_round.load(Ordering::Relaxed) {
+                    break;
                 }
-            },
-            state,
-            |mut st, item| {
-                if let Some((range, tally)) = item {
-                    st.merge(range, &tally);
-                    if st.crossing.is_some() {
-                        stop.store(true, Ordering::Relaxed);
+                let buf = plans_of(i).read().expect("plan buffer poisoned");
+                for (round, plan) in (i * per_range..).zip(buf.iter()) {
+                    crossing = wear.round(round, plan);
+                    if crossing.is_some() {
+                        best_round.fetch_min(round, Ordering::Relaxed);
+                        break 'batch;
                     }
                 }
-                st
-            },
-        );
-        if let Some(range) = state.crossing {
-            break range;
+            }
+            draw((k + 2) * batch);
+            // Every shard has deposited batch `k` (or stopped at a
+            // crossing) and batch `k + 1` is drawn. A crossing inside
+            // batch `k` ends the trial; all workers see the same answer,
+            // because later batches can only add crossings beyond it.
+            let healthy = sync();
+            let deposited = (k + 1) * batch * per_range;
+            if !healthy || best_round.load(Ordering::Relaxed) < deposited {
+                return crossing;
+            }
+            assert!(
+                deposited < horizon,
+                "RAA engine found no endurance crossing within 1000 lifetimes"
+            );
+            k += 1;
         }
-        batch_start += RANGES_PER_TRIAL as u64 * per_range;
-        assert!(
-            batch_start < (params.endurance / cfg.outer_interval).max(1) * 1000,
-            "RAA engine found no endurance crossing within 1000 lifetimes"
-        );
     };
-    let total = replay_crossing_range(params, cfg, seed, crossing, state.base);
-    finish(params, cfg, total)
+    let worker = &worker;
+    // One worker scope per trial; the calling thread runs shard 0.
+    let crossings = std::thread::scope(|s| {
+        let others: Vec<_> = (1..shards).map(|w| s.spawn(move || worker(w))).collect();
+        let mut all = vec![worker(0)];
+        for h in others {
+            all.push(h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)));
+        }
+        all
+    });
+    let first = crossings
+        .into_iter()
+        .flatten()
+        .min()
+        .expect("the engine stops only at a crossing");
+    let round_writes = (params.lines * cfg.outer_interval) as u128;
+    finish(
+        params,
+        cfg,
+        first.round as u128 * round_writes + first.writes,
+    )
 }
 
 /// Streaming sink: the round engine's deposits folded in closed form into
@@ -520,33 +576,14 @@ struct StreamSink {
 }
 
 impl StreamSink {
+    /// The closed form of one stay, as ranges: each full lap also
+    /// rewrites one line per slot of the region (background).
     fn stay(&mut self, region: u64, entry: u64, writes: u64) {
-        let Geometry { slots, lap } = self.geo;
-        let base = region * slots;
-        // `f` full-lap quanta land on consecutive slots from `entry`
-        // (wrapping), then a remainder on the next slot. Each full lap
-        // also rewrites one line per slot of the region (background).
-        let f = writes / lap;
-        let rem = writes % lap;
-        let wraps = f / slots;
-        let leftover = f % slots;
-        // Every slot of the region: `wraps` full laps of hammer wear plus
-        // `f` background writes.
-        let region_wide = wraps * lap + f;
-        if region_wide > 0 {
-            self.acc.add_range(base, base + slots, region_wide);
-        }
-        if leftover > 0 {
-            let end = entry + leftover;
-            if end <= slots {
-                self.acc.add_range(base + entry, base + end, lap);
-            } else {
-                self.acc.add_range(base + entry, base + slots, lap);
-                self.acc.add_range(base, base + (end - slots), lap);
-            }
-        }
-        if rem > 0 {
-            self.acc.add(base + (entry + f) % slots, rem);
+        let base = region * self.geo.slots;
+        let (f, runs) = stay_runs(self.geo, entry, writes);
+        self.acc.add_range(base, base + self.geo.slots, f);
+        for (run, amount) in runs {
+            self.acc.add_range(base + run.start, base + run.end, amount);
         }
     }
 }
@@ -621,8 +658,9 @@ pub fn srbsg_raa_wear_profile_split_with(
                 geo,
             };
             for plan in round_plans(params, cfg, seed, a..b) {
-                sink.stay(plan.region1, plan.entry1, plan.w1);
-                sink.stay(plan.region2, plan.entry2, plan.w2);
+                for s in &plan.stays {
+                    sink.stay(s.region, s.entry, s.writes);
+                }
             }
             (b, sink.acc)
         },
@@ -638,6 +676,7 @@ pub fn srbsg_raa_wear_profile_split_with(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn small_cfg() -> SrbsgParams {
         SrbsgParams {
@@ -648,9 +687,63 @@ mod tests {
         }
     }
 
-    /// Effective per-slot wear of a dense image: hammer wear plus the
+    /// Reference lifetime sink: the exact quantum walk over a dense image
+    /// of every region, with no closed form and no sharding.
+    struct Walk {
+        geo: Geometry,
+        wear: Vec<u64>,
+        background: Vec<u64>,
+        peak: Vec<u64>,
+        endurance: u64,
+    }
+
+    impl Walk {
+        fn new(params: &PcmParams, cfg: &SrbsgParams) -> Self {
+            let geo = Geometry::new(params, cfg);
+            let regions = cfg.sub_regions as usize;
+            Self {
+                geo,
+                wear: vec![0; regions * geo.slots as usize],
+                background: vec![0; regions],
+                peak: vec![0; regions],
+                endurance: params.endurance,
+            }
+        }
+
+        fn stay(&mut self, region: u64, entry: u64, writes: u64) -> (u64, bool) {
+            let geo = self.geo;
+            let r = region as usize;
+            stay_quanta(geo, entry, writes, |slot, amount| {
+                let w = &mut self.wear[(region * geo.slots + slot) as usize];
+                *w += amount;
+                self.peak[r] = self.peak[r].max(*w);
+                if amount == geo.lap {
+                    self.background[r] += 1;
+                }
+                self.peak[r] + self.background[r] >= self.endurance
+            })
+        }
+
+        /// Pre-wear one slot of a region's hammer image.
+        fn set(&mut self, region: u64, slot: u64, wear: u64) {
+            self.wear[(region * self.geo.slots + slot) as usize] = wear;
+            let r = region as usize;
+            self.peak[r] = self.peak[r].max(wear);
+        }
+    }
+
+    impl ExactWear {
+        /// Pre-wear one slot of an owned region's hammer image.
+        fn set(&mut self, region: u64, slot: u64, wear: u64) {
+            let r = (region - self.first) as usize;
+            self.wear[r * self.geo.slots as usize + slot as usize] = wear;
+            self.peak[r] = self.peak[r].max(wear);
+        }
+    }
+
+    /// Effective per-slot wear of a full-bank image: hammer wear plus the
     /// region's background.
-    fn dense(w: &RangeWear) -> Vec<u64> {
+    fn dense(w: &ExactWear) -> Vec<u64> {
         let slots = w.geo.slots as usize;
         w.wear
             .iter()
@@ -660,10 +753,10 @@ mod tests {
     }
 
     /// Serial reference for the lifetime: the same per-round streams
-    /// executed from round 0 with exact failure semantics and no range
-    /// partition at all.
+    /// walked quantum by quantum from round 0 with exact failure
+    /// semantics and no partition at all.
     fn lifetime_serial(params: &PcmParams, cfg: &SrbsgParams, seed: u64) -> Lifetime {
-        let mut wear = ExactWear::new(RangeWear::new(params, cfg), params.endurance);
+        let mut wear = Walk::new(params, cfg);
         let mut total: u128 = 0;
         for plan in round_plans(params, cfg, seed, 0..u64::MAX) {
             let (writes, failed) = plan.deposit(|region, entry, w| wear.stay(region, entry, w));
@@ -675,10 +768,19 @@ mod tests {
         finish(params, cfg, total)
     }
 
-    /// Regression: a region-wide background increment must fail a slot
-    /// the current deposit never touched, not just the slot written.
-    #[test]
-    fn background_wear_fails_untouched_slots() {
+    fn plan(stays: [(u64, u64, u64); 2], parked_writes: u64) -> RoundPlan {
+        RoundPlan {
+            stays: stays.map(|(region, entry, writes)| Stay {
+                region,
+                entry,
+                writes,
+            }),
+            parked_writes,
+        }
+    }
+
+    /// 64 lines in 4 regions of 17 slots; 68 writes per full lap.
+    fn tiny() -> (PcmParams, SrbsgParams) {
         let params = PcmParams::small(6, 1_000);
         let cfg = SrbsgParams {
             sub_regions: 4,
@@ -686,35 +788,43 @@ mod tests {
             outer_interval: 8,
             stages: 3,
         };
-        let mut base = RangeWear::new(&params, &cfg);
-        let lap = base.geo.lap; // 68 writes per full lap
-                                // Pre-wear slot 5 of region 0 to E−1. A 2-lap stay entering at
-                                // slot 0 touches slots 0 and 1 only, but its first full lap's
-                                // background increment pushes slot 5 to E.
-        base.wear[5] = params.endurance - 1;
-        let mut wear = ExactWear::new(base, params.endurance);
-        let (deposited, failed) = wear.stay(0, 0, 2 * lap);
+        (params, cfg)
+    }
+
+    /// Regression: a region-wide background increment must fail a slot
+    /// the current deposit never touched, not just the slot written.
+    #[test]
+    fn background_wear_fails_untouched_slots() {
+        let (params, cfg) = tiny();
+        let geo = Geometry::new(&params, &cfg);
+        let mut wear = ExactWear::new(geo, 0..cfg.sub_regions, params.endurance);
+        // Pre-wear slot 5 of region 0 to E−1. A 2-lap stay entering at
+        // slot 0 touches slots 0 and 1 only, but its first full lap's
+        // background increment pushes slot 5 to E.
+        wear.set(0, 5, params.endurance - 1);
+        let (deposited, failed) = wear.stay(0, 0, 2 * geo.lap);
         assert!(
             failed,
             "background increment crossed endurance on slot 5 but went undetected"
         );
-        assert_eq!(deposited, lap, "the stay stops at the failing quantum");
+        assert_eq!(deposited, geo.lap, "the stay stops at the failing quantum");
     }
 
-    /// The closed-form stays (dense tally and streaming accumulator) must
-    /// reproduce the exact quantum walk, including multi-wrap stays and
-    /// background accounting.
+    /// The closed-form stays (the lifetime sink's fast path and the
+    /// streaming accumulator) must reproduce the exact quantum walk,
+    /// including multi-wrap stays and background accounting.
     #[test]
     fn closed_form_range_stay_matches_exact_quanta() {
         let params = PcmParams::small(8, u64::MAX);
         let cfg = small_cfg();
-        let mut closed = RangeWear::new(&params, &cfg);
-        let Geometry { slots, lap } = closed.geo;
-        let lines = closed.wear.len() as u64;
-        let mut exact = ExactWear::new(RangeWear::new(&params, &cfg), u64::MAX);
+        let geo = Geometry::new(&params, &cfg);
+        let Geometry { slots, lap } = geo;
+        let lines = cfg.sub_regions * slots;
+        let mut fast = ExactWear::new(geo, 0..cfg.sub_regions, u64::MAX);
+        let mut walk = Walk::new(&params, &cfg);
         let mut stream = StreamSink {
             acc: WearAccumulator::new(lines, 16, lines),
-            geo: closed.geo,
+            geo,
         };
         // Stays covering: zero, sub-lap remainder, exact laps, wrap within
         // the region, and multiple full wraps of the region.
@@ -724,21 +834,112 @@ mod tests {
             (1, slots - 1, 3 * lap),
             (2, slots - 2, slots * lap + 7),
             (3, 5, 3 * slots * lap + 2 * lap + 11),
+            (3, 0, slots * lap),
         ] {
-            closed.stay(region, entry, writes);
+            assert_eq!(fast.stay(region, entry, writes), (writes, false));
+            assert_eq!(walk.stay(region, entry, writes), (writes, false));
             stream.stay(region, entry, writes);
-            let (dep, failed) = exact.stay(region, entry, writes);
-            assert_eq!(dep, writes);
-            assert!(!failed);
         }
-        assert_eq!(closed.wear, exact.base.wear);
-        assert_eq!(closed.background, exact.base.background);
-        let image = dense(&closed);
+        assert_eq!(fast.wear, walk.wear);
+        assert_eq!(fast.background, walk.background);
+        assert_eq!(fast.peak, walk.peak);
+        let image = dense(&fast);
         assert_eq!(
             stream.acc.total(),
             image.iter().map(|&w| w as u128).sum::<u128>()
         );
         assert_eq!(stream.acc, WearAccumulator::from_wear(&image, 16, lines));
+    }
+
+    /// A failing stay is undone and walked: the image it leaves is exactly
+    /// the quantum walk's, stopped at the failing quantum — checked after
+    /// every stay of a random sequence that runs into the endurance.
+    #[test]
+    fn undone_stay_restores_the_wear_image_exactly() {
+        let (_, cfg) = tiny();
+        let params = PcmParams::small(6, 5_000);
+        let geo = Geometry::new(&params, &cfg);
+        let mut rng = SmallRng::seed_from_u64(11);
+        for _ in 0..20 {
+            let mut fast = ExactWear::new(geo, 0..cfg.sub_regions, params.endurance);
+            let mut walk = Walk::new(&params, &cfg);
+            loop {
+                let region = rng.random_range(0..cfg.sub_regions);
+                let entry = rng.random_range(0..geo.slots);
+                let writes = rng.random_range(0..3 * geo.slots * geo.lap);
+                let out = fast.stay(region, entry, writes);
+                assert_eq!(out, walk.stay(region, entry, writes));
+                assert_eq!(fast.wear, walk.wear);
+                assert_eq!(fast.background, walk.background);
+                assert_eq!(fast.peak, walk.peak);
+                if out.1 {
+                    break;
+                }
+            }
+        }
+    }
+
+    /// The second stay of a round fails: the crossing counts parked
+    /// traffic, the whole first stay and the second stay's deposits, as
+    /// `RoundPlan::deposit` does.
+    #[test]
+    fn crossing_in_the_second_stay_of_a_round() {
+        let (params, cfg) = tiny();
+        let geo = Geometry::new(&params, &cfg);
+        let lap = geo.lap;
+        // Stay 2 enters region 1 at slot 2; its second quantum lands on
+        // slot 3, pre-worn so that quantum (plus two background laps)
+        // reaches E exactly.
+        let pre = params.endurance - lap - 2;
+        let p = plan([(0, 0, lap), (1, 2, 3 * lap)], 5);
+        let mut fast = ExactWear::new(geo, 0..cfg.sub_regions, params.endurance);
+        fast.set(1, 3, pre);
+        let crossing = fast.round(7, &p).expect("stay 2 fails");
+        assert_eq!(
+            crossing,
+            Crossing {
+                round: 7,
+                stay: 1,
+                writes: 5 + lap as u128 + 2 * lap as u128,
+            }
+        );
+        let mut walk = Walk::new(&params, &cfg);
+        walk.set(1, 3, pre);
+        assert_eq!(
+            p.deposit(|region, entry, w| walk.stay(region, entry, w)),
+            (crossing.writes, true)
+        );
+    }
+
+    /// Two shards cross in the same round: the shard whose failing stay
+    /// comes first in the round holds the trial's failure, whichever
+    /// shard it is.
+    #[test]
+    fn same_round_crossings_in_two_shards_take_the_lower_stay() {
+        let (params, cfg) = tiny();
+        let geo = Geometry::new(&params, &cfg);
+        let lap = geo.lap;
+        let pre = params.endurance - lap - 1;
+        // Stay 1 fails in region 2 (upper shard), stay 2 in region 0
+        // (lower shard); each fails on its first quantum.
+        let p = plan([(2, 4, 2 * lap), (0, 9, 2 * lap)], 3);
+        let mut lower = ExactWear::new(geo, 0..2, params.endurance);
+        let mut upper = ExactWear::new(geo, 2..4, params.endurance);
+        let mut walk = Walk::new(&params, &cfg);
+        for (region, slot) in [(0, 9), (2, 4)] {
+            let shard = if region < 2 { &mut lower } else { &mut upper };
+            shard.set(region, slot, pre);
+            walk.set(region, slot, pre);
+        }
+        let (a, b) = (lower.round(4, &p), upper.round(4, &p));
+        assert_eq!(a.map(|c| c.stay), Some(1));
+        assert_eq!(b.map(|c| c.stay), Some(0));
+        let first = a.into_iter().chain(b).min().unwrap();
+        assert_eq!(first, b.unwrap());
+        assert_eq!(
+            p.deposit(|region, entry, w| walk.stay(region, entry, w)),
+            (first.writes, true)
+        );
     }
 
     #[test]
@@ -766,6 +967,57 @@ mod tests {
         }
     }
 
+    /// A panic in one worker reaches the caller; the other workers are
+    /// not left waiting for it.
+    #[test]
+    #[should_panic(expected = "at least one stage")]
+    fn worker_panic_propagates() {
+        let cfg = SrbsgParams {
+            stages: 0,
+            ..small_cfg()
+        };
+        lifetime_batched(&PcmParams::small(8, 10_000), &cfg, 1, 3, 1);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// The sharded, batched engine equals the serial quantum walk for
+        /// any shape, worker count and batch size: from a crossing in
+        /// round 0 up to many laps of endurance, including configs whose
+        /// stays wrap their region (few slots, long rounds).
+        #[test]
+        fn engine_matches_the_serial_walk(
+            width in 6u32..=12,
+            r_log in 1u32..=3,
+            inner in 1u64..=8,
+            outer in 4u64..=32,
+            stages in 1usize..=7,
+            e_frac in 0.2..1.0f64,
+            seed in any::<u64>(),
+            batch in prop_oneof![Just(1usize), Just(7), Just(96)],
+        ) {
+            let cfg = SrbsgParams {
+                sub_regions: 1 << r_log,
+                inner_interval: inner,
+                outer_interval: outer,
+                stages,
+            };
+            let lap = Geometry::new(&PcmParams::small(width, 1), &cfg).lap;
+            let endurance = ((256 * lap) as f64).powf(e_frac).clamp(1.0, 262_144.0) as u64;
+            let params = PcmParams::small(width, endurance);
+            let serial = lifetime_serial(&params, &cfg, seed);
+            for jobs in [1usize, 2, 3, 8] {
+                prop_assert_eq!(
+                    lifetime_batched(&params, &cfg, seed, jobs, batch),
+                    serial,
+                    "jobs={}",
+                    jobs
+                );
+            }
+        }
+    }
+
     #[test]
     fn split_profile_is_identical_for_any_jobs_and_matches_serial() {
         let params = PcmParams::small(10, u64::MAX >> 1);
@@ -781,8 +1033,9 @@ mod tests {
             geo,
         };
         for plan in round_plans(&params, &cfg, 9, 0..rounds) {
-            sink.stay(plan.region1, plan.entry1, plan.w1);
-            sink.stay(plan.region2, plan.entry2, plan.w2);
+            for s in &plan.stays {
+                sink.stay(s.region, s.entry, s.writes);
+            }
         }
         let serial = sink.acc;
         for jobs in [1usize, 2, 4, 8] {
@@ -802,7 +1055,11 @@ mod tests {
         let points = 20;
         let total = 1u128 << 22;
         let rounds = total.div_ceil((params.lines * cfg.outer_interval) as u128) as u64;
-        let image = dense(&simulate_range(&params, &cfg, 9, 0, rounds));
+        let mut sink = ExactWear::new(Geometry::new(&params, &cfg), 0..cfg.sub_regions, u64::MAX);
+        for (round, plan) in (0..rounds).zip(round_plans(&params, &cfg, 9, 0..rounds)) {
+            assert_eq!(sink.round(round, &plan), None);
+        }
+        let image = dense(&sink);
         let lines = image.len() as u64;
         for max_regions in [lines, 256] {
             let profile =

@@ -134,10 +134,13 @@ where
 /// returned accumulator is identical to
 /// `items.into_iter().map(f).fold(init, fold)`. The collector stashes
 /// results that arrive ahead of order and folds each one as soon as its
-/// predecessors are in, so peak buffering is bounded by how far workers
-/// run ahead (≤ in-flight items), not by `items.len()` — the property the
-/// sharded trace runner relies on to merge per-bank wear accumulators
-/// without holding one per bank alive simultaneously.
+/// predecessors are in. Workers never wait for the fold, so buffering is
+/// bounded by how far they run ahead of it: when `fold` keeps up that is
+/// about one result per worker, but when `fold` is slower than the
+/// workers every result can be produced before the fold catches up, and
+/// up to `items.len()` results (one being folded, the rest stashed) are
+/// alive at once. Callers with large results and a slow fold should
+/// bound `items.len()` per call.
 pub fn par_fold<T, R, A, F, G>(items: Vec<T>, jobs: usize, f: F, init: A, mut fold: G) -> A
 where
     T: Send,
@@ -312,6 +315,45 @@ mod tests {
             par_fold(vec![5u8], 4, |x| x * 2, 1u32, |a, r| a + r as u32),
             11
         );
+    }
+
+    /// Pins `par_fold`'s buffering: with a fold slower than the workers,
+    /// every result is alive at once (counted from creation to `Drop`).
+    #[test]
+    fn par_fold_buffers_all_results_behind_a_slow_fold() {
+        use std::sync::atomic::AtomicIsize;
+        use std::time::{Duration, Instant};
+        struct Counted<'a>(&'a AtomicIsize);
+        impl Drop for Counted<'_> {
+            fn drop(&mut self) {
+                self.0.fetch_sub(1, Ordering::SeqCst);
+            }
+        }
+        let (live, made) = (AtomicIsize::new(0), AtomicUsize::new(0));
+        let n = 16;
+        let mut peak = 0;
+        par_fold(
+            (0..n).collect::<Vec<usize>>(),
+            2,
+            |_| {
+                live.fetch_add(1, Ordering::SeqCst);
+                made.fetch_add(1, Ordering::SeqCst);
+                Counted(&live)
+            },
+            (),
+            |(), r| {
+                // The first fold stalls until the workers have produced
+                // every result.
+                let t0 = Instant::now();
+                while made.load(Ordering::SeqCst) < n && t0.elapsed() < Duration::from_secs(10) {
+                    std::thread::sleep(Duration::from_millis(1));
+                }
+                peak = peak.max(live.load(Ordering::SeqCst));
+                drop(r);
+            },
+        );
+        assert_eq!(peak, n as isize, "all {n} results alive behind the fold");
+        assert_eq!(live.load(Ordering::SeqCst), 0, "every result dropped");
     }
 
     #[test]
