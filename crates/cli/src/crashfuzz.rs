@@ -1,4 +1,5 @@
-//! `experiments crashfuzz` — seeded randomized crash-under-load fuzzing.
+//! `experiments crashfuzz` — seeded randomized crash-under-load fuzzing,
+//! a preset of the fault simulator ([`crate::faultsim`]).
 //!
 //! Every iteration draws a random checkpoint interval K, a random victim
 //! bank, a random crash mode (all eight, including the three
@@ -6,13 +7,13 @@
 //! replays a random read/write stream through the batched serving
 //! front-end over three journaled Security RBSG banks with the plan
 //! armed. When the victim dies mid-batch, its unacknowledged commands
-//! come back as `PowerLost` faults; the iteration restarts the bank
-//! through re-keyed recovery, resubmits the aborted writes in order, and
+//! come back as `PowerLost` faults; the simulator restarts the bank through
+//! re-keyed journal recovery, resubmits the aborted writes in order, and
 //! finishes the stream. Three invariants hold on every iteration, crash
 //! or no crash:
 //!
 //! * **no lost acknowledgments** — every write the front-end acknowledged
-//!   reads back intact at the end, across the power cut;
+//!   reads back intact right after the recovery and at the end;
 //! * **recovery SLO** — the recovery replayed at most `max(K, 2)` journal
 //!   steps (the checkpoint policy's promise);
 //! * **equivalence** — the recovered-then-continued system ends
@@ -22,324 +23,96 @@
 //! so the table and `results/crashfuzz.csv` are byte-identical for any
 //! `--jobs N`. The iteration count is printed for the CI gate log.
 
+use crate::faultsim::{
+    assert_contract, drive, fuzz_trace, rbsg_banks, reissue_power_lost, Feed, Restart, Run,
+    Schedule,
+};
 use crate::table::Table;
 use crate::Opts;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
-use srbsg_core::{SecurityRbsg, SecurityRbsgConfig};
-use srbsg_pcm::{LineData, MemoryController, MultiBankSystem, Ns, PcmError, TimingModel};
-use srbsg_persist::{CheckpointPolicy, CrashMode, CrashPlan, Journaled};
-use srbsg_serve::{FrontEnd, Op, Rejected, Request, ServeConfig};
-use std::collections::BTreeMap;
+use srbsg_persist::{CheckpointPolicy, CrashMode, CrashPlan};
 
 const BANKS: usize = 3;
 
-const MODES: [CrashMode; 8] = [
-    CrashMode::TornRecord,
-    CrashMode::RecordedNotApplied,
-    CrashMode::HalfApplied,
-    CrashMode::AppliedNoMarker,
-    CrashMode::AfterCommit { extra_writes: 2 },
-    CrashMode::CheckpointTornSnapshot,
-    CrashMode::CheckpointTornMarker,
-    CrashMode::CheckpointNotTruncated,
-];
-
-fn mode_name(mode: CrashMode) -> &'static str {
-    match mode {
-        CrashMode::TornRecord => "torn_record",
-        CrashMode::RecordedNotApplied => "recorded_not_applied",
-        CrashMode::HalfApplied => "half_applied",
-        CrashMode::AppliedNoMarker => "applied_no_marker",
-        CrashMode::AfterCommit { .. } => "after_commit",
-        CrashMode::CheckpointTornSnapshot => "ckpt_torn_snapshot",
-        CrashMode::CheckpointTornMarker => "ckpt_torn_marker",
-        CrashMode::CheckpointNotTruncated => "ckpt_not_truncated",
-    }
-}
-
-/// What one fuzz iteration drew and measured. Contract violations panic
-/// the iteration (and `par_map` propagates the panic).
-#[derive(Debug, Clone)]
-struct FuzzOut {
-    k: u64,
-    bank: usize,
-    mode: CrashMode,
-    at_step: u64,
-    /// Whether the armed plan actually fired (a deep `at_step` can land
-    /// past the journal the stream produces — still a valid iteration,
-    /// the invariants just hold trivially).
-    fired: bool,
-    acked: u64,
-    /// `PowerLost`-rejected writes reissued after the restart.
-    resubmitted: u64,
-    lost_acked: u64,
-    replayed: u64,
-    skipped: u64,
-    journal_bytes: u64,
-    fallback: bool,
-    ckpts: u64,
-    slo_ok: bool,
-    equivalent: bool,
-}
-
-/// The serving policy for the fuzz runs: deep queues, no deadlines in
-/// play, no quarantine — every rejection must be the injected power loss.
-fn serve_cfg() -> ServeConfig {
-    ServeConfig {
-        queue_depth: 512,
-        max_retries: 1,
-        backoff_base_ns: 500,
-        backoff_cap_ns: 16_000,
-        backoff_seed: 0x5E4E_5EED,
-        quarantine_spare_frac: 0.0,
-    }
-}
-
-fn build(iter: u64, policy: CheckpointPolicy) -> FrontEnd<Journaled<SecurityRbsg>> {
-    let banks = (0..BANKS)
-        .map(|b| {
-            let mut cfg = SecurityRbsgConfig::small(4, 2);
-            cfg.seed = 0xC0FF_EE00 ^ (iter << 8) ^ b as u64;
-            MemoryController::new(
-                Journaled::with_policy(SecurityRbsg::new(cfg), policy),
-                u64::MAX,
-                TimingModel::PAPER,
-            )
-        })
-        .collect();
-    FrontEnd::new(MultiBankSystem::from_controllers(banks), serve_cfg())
-}
-
-/// A random request stream over all banks: uniform addresses, 60/40
-/// write/read, no meaningful deadlines.
-fn fuzz_trace(rng: &mut StdRng, lines: u64, n: usize) -> Vec<Request> {
-    let mut arrival: Ns = 0;
-    (0..n)
-        .map(|i| {
-            arrival += (100 + rng.random::<u64>() % 200) as Ns;
-            let la = rng.random::<u64>() % lines;
-            let op = if rng.random::<u32>() % 5 < 3 {
-                Op::Write(LineData::Mixed(i as u32 + 1))
-            } else {
-                Op::Read
-            };
-            Request {
-                la,
-                op,
-                arrival_ns: arrival,
-                deadline_ns: Ns::MAX,
-            }
-        })
-        .collect()
-}
+/// What one iteration drew: K, the victim bank, and the plan.
+type Draw = (u64, usize, CrashPlan);
 
 /// One fuzz iteration, end to end.
-fn run_iter(iter: u64, n: usize, batch: usize) -> FuzzOut {
+fn run_iter(iter: u64, n: usize) -> (Draw, Run) {
     let mut rng = StdRng::seed_from_u64(0xF022_1EAF ^ iter.wrapping_mul(0x9E37_79B9_7F4A_7C15));
     let k = [4u64, 8, 16][(rng.random::<u32>() % 3) as usize];
-    let policy = CheckpointPolicy::every_steps(k);
-    let slo = policy.slo_steps().expect("every_steps policy has an SLO");
     let victim = (rng.random::<u32>() as usize) % BANKS;
-    let mode = MODES[(rng.random::<u32>() as usize) % MODES.len()];
-    let at_step = 1 + rng.random::<u64>() % 30;
-    let rekey_seed = rng.random::<u64>();
-
-    // The reference never crashes but runs the identical serving path.
-    let mut reference = build(iter, policy);
-    let lines = reference.system().logical_lines();
-    let reqs = fuzz_trace(&mut rng, lines, n);
-    for chunk in reqs.chunks(batch) {
-        for c in reference.submit_batch_crashable(chunk.to_vec(), 1) {
-            assert!(c.result.is_ok(), "reference run rejected a request");
-        }
-    }
-
-    let mut fe = build(iter, policy);
-    fe.system_mut()
-        .bank_mut(victim)
-        .scheme_mut()
-        .set_crash_plan(CrashPlan { at_step, mode });
-
-    // Last acknowledged write per address, in completion order — within a
-    // bank the completion order is the device order, and each address
-    // lives on exactly one bank.
-    let mut last_acked: BTreeMap<u64, LineData> = BTreeMap::new();
-    let mut acked = 0u64;
-    let mut resubmitted = 0u64;
-    let mut recovered: Option<(srbsg_persist::RecoveryReport, u64)> = None;
-    let mut carry: Vec<Request> = Vec::new();
-    let mut chunks = reqs.chunks(batch);
-    loop {
-        let fresh = chunks.next();
-        if fresh.is_none() && carry.is_empty() {
-            break;
-        }
-        // Aborted writes re-enter at the head of the batch, so each
-        // bank's per-address write order matches the reference stream.
-        let mut submit: Vec<Request> = std::mem::take(&mut carry);
-        resubmitted += submit.len() as u64;
-        submit.extend_from_slice(fresh.unwrap_or(&[]));
-        let done = fe.submit_batch_crashable(submit.clone(), 1);
-        for (req, c) in submit.iter().zip(&done) {
-            match &c.result {
-                Ok(_) => {
-                    if let Op::Write(data) = req.op {
-                        last_acked.insert(req.la, data);
-                        acked += 1;
-                    }
-                }
-                Err(Rejected::Fault(PcmError::PowerLost)) => {
-                    if matches!(req.op, Op::Write(_)) {
-                        carry.push(*req);
-                    }
-                }
-                Err(e) => panic!("iter {iter}: unexpected rejection {e:?}"),
-            }
-        }
-
-        // Restart: recover the dead bank in place, keep the survivors.
-        let dead = fe.crashed_banks();
-        if !dead.is_empty() {
-            assert_eq!(dead, vec![victim], "iter {iter}: wrong bank died");
-            assert!(recovered.is_none(), "iter {iter}: bank died twice");
-            let banks = fe.into_system().into_controllers();
-            let rebuilt = banks
-                .into_iter()
-                .enumerate()
-                .map(|(b, mc)| {
-                    if b != victim {
-                        return mc;
-                    }
-                    let (jw, mut pbank) = mc.into_parts();
-                    let ckpts = jw.checkpoints_installed();
-                    let store = jw.into_store();
-                    let (jw2, report) = Journaled::<SecurityRbsg>::recover_rekeyed_with_policy(
-                        &store, &mut pbank, rekey_seed, policy,
-                    )
-                    .unwrap_or_else(|e| panic!("iter {iter}: recovery failed: {e}"));
-                    recovered = Some((report, ckpts));
-                    MemoryController::from_bank(jw2, pbank)
-                })
-                .collect();
-            fe = FrontEnd::new(MultiBankSystem::from_controllers(rebuilt), serve_cfg());
-        }
-    }
-
-    // Invariant 1: every acknowledged write survives, across the cut.
-    let mut lost_acked = 0u64;
-    for (&la, &data) in &last_acked {
-        let (stored, _) = fe.system_mut().try_read(la).expect("audit read");
-        if stored != data {
-            lost_acked += 1;
-        }
-    }
-    // Invariant 3: recovered-then-continued == never-crashed, everywhere.
-    let equivalent = (0..lines).all(|la| {
-        fe.system_mut().try_read(la).expect("read").0
-            == reference.system_mut().try_read(la).expect("read").0
-    });
-
-    let (report, ckpts) = match &recovered {
-        Some((r, c)) => (Some(r), *c),
-        None => (None, 0),
-    };
-    FuzzOut {
-        k,
-        bank: victim,
+    let mode = CrashMode::ALL[(rng.random::<u32>() as usize) % CrashMode::ALL.len()];
+    let plan = CrashPlan {
+        at_step: 1 + rng.random::<u64>() % 30,
         mode,
-        at_step,
-        fired: report.is_some(),
-        acked,
-        resubmitted,
-        lost_acked,
-        replayed: report.map_or(0, |r| r.replayed_steps),
-        skipped: report.map_or(0, |r| r.skipped_steps),
-        journal_bytes: report.map_or(0, |r| r.journal_bytes),
-        fallback: report.is_some_and(|r| r.marker_fallback),
-        ckpts,
-        // Invariant 2 (checked here, asserted in `run`): the replay SLO.
-        slo_ok: report.is_none_or(|r| r.replayed_steps <= slo),
-        equivalent,
-    }
+    };
+    let sched = Schedule {
+        crash: Some((victim, plan)),
+        restart: Restart::Rekeyed(rng.random::<u64>()),
+        ..Schedule::default()
+    };
+    let build = || rbsg_banks(0xC0FF_EE00 ^ (iter << 8), CheckpointPolicy::every_steps(k));
+    let reqs = fuzz_trace(&mut rng, build().system().logical_lines(), n);
+    let feed = Feed::batches(48);
+    let (run, _) = drive(
+        &build,
+        &reqs,
+        feed,
+        &sched,
+        &mut reissue_power_lost,
+        &mut |_| {},
+    );
+    ((k, victim, plan), run)
 }
 
 pub fn run(opts: &Opts) {
     let iters: u64 = if opts.quick { 64 } else { 240 };
     let n = if opts.quick { 360 } else { 600 };
-    let batch = 48;
 
     let results = srbsg_parallel::par_map((0..iters).collect(), opts.jobs, |iter| {
-        (iter, run_iter(iter, n, batch))
+        (iter, run_iter(iter, n))
     });
 
-    let mut t = Table::new(
-        &format!(
-            "Randomized crash-under-load fuzzing ({iters} iterations, {BANKS} journaled \
-             banks, {} requests per iteration, replay SLO = max(K, 2))",
-            n
-        ),
-        &[
-            "iter",
-            "k",
-            "bank",
-            "mode",
-            "at_step",
-            "fired",
-            "acked",
-            "resubmitted",
-            "lost_acked",
-            "replayed",
-            "skipped",
-            "journal_bytes",
-            "fallback",
-            "ckpts",
-            "slo_ok",
-            "equivalent",
-        ],
-    );
+    let mut t = Table::keyed(&format!(
+        "Randomized crash-under-load fuzzing ({iters} iterations, {BANKS} journaled \
+         banks, {n} requests per iteration, replay SLO = max(K, 2))"
+    ));
     let mut fired = 0u64;
     let mut ckpt_fired = 0u64;
-    let mut journal_fired = 0u64;
-    let mut lost_total = 0u64;
-    let mut resub_total = 0u64;
-    let mut all_slo_ok = true;
-    let mut all_equivalent = true;
-    for (iter, out) in &results {
-        if out.fired {
+    for (iter, ((k, bank, plan), run)) in &results {
+        let rec = run.recoveries.first();
+        if rec.is_some() {
             fired += 1;
-            if out.mode.is_checkpoint_phase() {
-                ckpt_fired += 1;
-            } else {
-                journal_fired += 1;
-            }
+            ckpt_fired += u64::from(plan.mode.is_checkpoint_phase());
         }
-        lost_total += out.lost_acked;
-        resub_total += out.resubmitted;
-        all_slo_ok &= out.slo_ok;
-        all_equivalent &= out.equivalent;
-        t.row(vec![
-            iter.to_string(),
-            out.k.to_string(),
-            out.bank.to_string(),
-            mode_name(out.mode).to_string(),
-            out.at_step.to_string(),
-            out.fired.to_string(),
-            out.acked.to_string(),
-            out.resubmitted.to_string(),
-            out.lost_acked.to_string(),
-            out.replayed.to_string(),
-            out.skipped.to_string(),
-            out.journal_bytes.to_string(),
-            out.fallback.to_string(),
-            out.ckpts.to_string(),
-            out.slo_ok.to_string(),
-            out.equivalent.to_string(),
+        let report = rec.map(|r| r.report).unwrap_or_default();
+        t.row_keyed(vec![
+            ("iter", iter.to_string()),
+            ("k", k.to_string()),
+            ("bank", bank.to_string()),
+            ("mode", plan.mode.name().to_string()),
+            ("at_step", plan.at_step.to_string()),
+            ("fired", rec.is_some().to_string()),
+            ("acked", run.ledger.writes().to_string()),
+            ("resubmitted", run.resubmitted.to_string()),
+            ("lost_acked", run.lost.to_string()),
+            ("replayed", report.replayed_steps.to_string()),
+            ("skipped", report.skipped_steps.to_string()),
+            ("journal_bytes", report.journal_bytes.to_string()),
+            ("fallback", report.marker_fallback.to_string()),
+            ("ckpts", rec.map_or(0, |r| r.ckpts).to_string()),
+            ("slo_ok", rec.is_none_or(|r| r.slo_ok).to_string()),
+            ("equivalent", run.equivalent.to_string()),
         ]);
     }
     t.print();
     t.write_csv(&opts.out_dir, "crashfuzz");
 
+    let journal_fired = fired - ckpt_fired;
+    let lost_total: u64 = results.iter().map(|(_, (_, r))| r.lost).sum();
+    let resub_total: u64 = results.iter().map(|(_, (_, r))| r.resubmitted).sum();
     println!(
         "\ncrashfuzz: {iters} iterations completed; {fired} crashes fired \
          ({journal_fired} journal-phase, {ckpt_fired} checkpoint-phase); \
@@ -348,12 +121,7 @@ pub fn run(opts: &Opts) {
 
     // Acceptance bars: the loop must actually bite (most plans fire, both
     // crash families covered), and the three invariants hold everywhere.
-    assert_eq!(lost_total, 0, "an acknowledged write was lost");
-    assert!(all_slo_ok, "a recovery replayed more than the SLO");
-    assert!(
-        all_equivalent,
-        "a recovered run diverged from never-crashed"
-    );
+    assert_contract(results.iter().map(|(_, (_, r))| r));
     assert!(
         fired >= iters / 2,
         "only {fired}/{iters} plans fired — the fuzz space is miscalibrated"

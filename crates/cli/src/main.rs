@@ -42,6 +42,14 @@
 //! (2^22 lines, 10^8 endurance). Results are printed and written as CSV
 //! under `results/`.
 //!
+//! `serve`, `crash`, `crashfuzz` and `storagefuzz` are presets of one
+//! deterministic fault simulator (`faultsim`): one batch loop over
+//! the serving front-end, one ledger of acknowledged writes, one composable
+//! fault schedule (power cut on a bank, media fault on the shelf, scheduled
+//! cut) and one restart path per kind, checked against a never-faulted
+//! twin. Each preset keeps only its parameter draws, its table and its
+//! coverage bars.
+//!
 //! `--jobs N` runs the seeded trials of each sweep on up to `N` worker
 //! threads (default: the machine's available parallelism). Every table and
 //! CSV is byte-identical for any `N` — each trial owns its seed and RNG
@@ -54,6 +62,7 @@ mod crash;
 mod crashfuzz;
 mod detect;
 mod faults;
+mod faultsim;
 mod fig11;
 mod fig12;
 mod fig13;

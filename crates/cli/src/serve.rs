@@ -1,5 +1,6 @@
 //! `experiments serve` — chaos replay through the batched serving
-//! front-end (`srbsg-serve`).
+//! front-end (`srbsg-serve`), a preset of the fault simulator
+//! ([`crate::faultsim`]) with no injected power or storage faults.
 //!
 //! Eight Security-RBSG banks, three of them deliberately hostile:
 //!
@@ -22,20 +23,26 @@
 //! per-bank `shard_seed` streams, exactly as the sharded trace runner
 //! splits it, with no bursts and no hot-spot.
 //!
-//! After each replay, every acknowledged write is audited by reading the
-//! line back: `lost_acked` must be zero — acknowledgment means the data is
-//! on the device, whatever the chaos. The replays, the table, and
+//! The banks run the server's own stack ([`srbsg_server::ServerScheme`]:
+//! journaled Security RBSG) behind the plain, non-crashing write path.
+//! After each replay, the simulator's ledger audits every address whose last
+//! device-touching write was acknowledged by reading the line back:
+//! `lost_acked` must be zero — acknowledgment means the data is on the
+//! device, whatever the chaos. The replays, the table, and
 //! `results/serve.csv` are byte-identical for any `--jobs N`.
 
+use crate::faultsim::{assert_contract, drive, Feed, Run, Schedule, Sim};
 use crate::table::Table;
 use crate::Opts;
 use rand::rngs::SmallRng;
 use rand::{RngExt, SeedableRng};
 use srbsg_core::{SecurityRbsg, SecurityRbsgConfig};
 use srbsg_pcm::{FaultConfig, LineData, MemoryController, MultiBankSystem, Ns, TimingModel};
-use srbsg_serve::{percentile_ns, FrontEnd, Op, Rejected, Request, ServeConfig};
+use srbsg_persist::Journaled;
+use srbsg_serve::{
+    percentile_ns, Completion, FrontEnd, Op, Rejected, Request, ServeConfig, ServeStats,
+};
 use srbsg_workloads::{shard_seed, TraceGenerator, WorkloadSpec};
-use std::collections::BTreeMap;
 
 const BANKS: usize = 8;
 const FAULTY_BANK: usize = 1;
@@ -46,65 +53,77 @@ const DYING_BANK: usize = 5;
 /// request before giving up on it.
 const RESUBMIT_CAP: u32 = 3;
 
-/// Per-bank outcome accumulators, folded from completions in id order.
+/// Outcome accumulators of one bank — or, at index `BANKS`, of all of
+/// them — folded from completions in id order.
 #[derive(Debug, Clone, Default)]
 struct BankAcc {
-    submitted: u64,
-    served_reads: u64,
-    served_writes: u64,
-    retries: u64,
-    rej_queue_full: u64,
-    rej_deadline: u64,
-    rej_quarantine: u64,
-    rej_retries: u64,
-    rej_fault: u64,
+    /// Final outcomes, one per request (a deferral is not final).
+    stats: ServeStats,
     /// Closed loop only: `QueueFull` rejections converted into a
     /// resubmission in a later batch.
     deferred: u64,
     /// Closed loop only: requests abandoned after [`RESUBMIT_CAP`]
-    /// deferrals (every drop is also counted in `rej_queue_full`).
+    /// deferrals (every drop is also a queue-full rejection).
     dropped: u64,
     latencies: Vec<Ns>,
 }
 
 impl BankAcc {
-    fn rejected(&self) -> u64 {
-        self.rej_queue_full
-            + self.rej_deadline
-            + self.rej_quarantine
-            + self.rej_retries
-            + self.rej_fault
+    /// Fold one completion of a request carried `tries` times before;
+    /// returns whether the closed-loop client re-queues it.
+    fn note(&mut self, tries: u32, c: &Completion, closed_loop: bool) -> bool {
+        let queue_full = matches!(c.result, Err(Rejected::QueueFull { .. }));
+        if queue_full && closed_loop && tries < RESUBMIT_CAP {
+            self.deferred += 1;
+            return true;
+        }
+        // This harness never degrades the front-end to read-only.
+        assert!(
+            !matches!(c.result, Err(Rejected::ReadOnly)),
+            "read-only mode is never enabled here"
+        );
+        self.dropped += u64::from(queue_full && closed_loop);
+        self.stats.note(c);
+        if let Ok(s) = &c.result {
+            self.latencies.push(s.latency_ns);
+        }
+        false
     }
 }
 
-fn build_system(opts: &Opts) -> MultiBankSystem<SecurityRbsg> {
+fn build_system(opts: &Opts, serve_cfg: ServeConfig) -> Sim<SecurityRbsg> {
     let width = if opts.quick { 8 } else { 10 };
-    let healthy_endurance = 1_000_000_000;
-    let dying_endurance = if opts.quick { 60 } else { 90 };
-    let base_faults = FaultConfig {
-        endurance_cov: 0.1,
-        transient_prob: 1e-4,
-        max_retries: 2,
-        retry_fail_ratio: 0.5,
-        ecp_entries: 2,
-        ecp_wear_step: 25,
-        spare_lines: 16,
-        ..FaultConfig::default()
+    let healthy = 1_000_000_000;
+    let dying = if opts.quick { 60 } else { 90 };
+    let paper = TimingModel::PAPER;
+    let slow = TimingModel {
+        read_ns: paper.read_ns * 6,
+        set_ns: paper.set_ns * 6,
+        reset_ns: paper.reset_ns * 6,
+        sram_ns: paper.sram_ns * 6,
+        ..paper
     };
     let banks = (0..BANKS)
         .map(|b| {
-            let mut scheme_cfg = SecurityRbsgConfig::small(width, 2);
-            scheme_cfg.seed = 0xD00D_F00D ^ (b as u64);
-            let scheme = SecurityRbsg::new(scheme_cfg);
+            let scheme = SecurityRbsg::new(SecurityRbsgConfig {
+                seed: 0xD00D_F00D ^ (b as u64),
+                ..SecurityRbsgConfig::small(width, 2)
+            });
             let faults = FaultConfig {
+                endurance_cov: 0.1,
+                transient_prob: 1e-4,
+                max_retries: 2,
+                retry_fail_ratio: 0.5,
+                ecp_entries: 2,
+                ecp_wear_step: 25,
+                spare_lines: 16,
                 seed: 0xFA17_5EED ^ ((b as u64) << 8),
-                ..base_faults
+                ..FaultConfig::default()
             };
-            match b {
-                FAULTY_BANK => MemoryController::with_faults(
-                    scheme,
-                    healthy_endurance,
-                    TimingModel::PAPER,
+            let (endurance, timing, faults) = match b {
+                FAULTY_BANK => (
+                    healthy,
+                    paper,
                     FaultConfig {
                         transient_prob: 0.05,
                         max_retries: 1,
@@ -112,20 +131,10 @@ fn build_system(opts: &Opts) -> MultiBankSystem<SecurityRbsg> {
                         ..faults
                     },
                 ),
-                SLOW_BANK => {
-                    let slow = TimingModel {
-                        read_ns: TimingModel::PAPER.read_ns * 6,
-                        set_ns: TimingModel::PAPER.set_ns * 6,
-                        reset_ns: TimingModel::PAPER.reset_ns * 6,
-                        sram_ns: TimingModel::PAPER.sram_ns * 6,
-                        ..TimingModel::PAPER
-                    };
-                    MemoryController::with_faults(scheme, healthy_endurance, slow, faults)
-                }
-                DYING_BANK => MemoryController::with_faults(
-                    scheme,
-                    dying_endurance,
-                    TimingModel::PAPER,
+                SLOW_BANK => (healthy, slow, faults),
+                DYING_BANK => (
+                    dying,
+                    paper,
                     FaultConfig {
                         endurance_cov: 0.15,
                         ecp_entries: 1,
@@ -133,22 +142,17 @@ fn build_system(opts: &Opts) -> MultiBankSystem<SecurityRbsg> {
                         ..faults
                     },
                 ),
-                _ => MemoryController::with_faults(
-                    scheme,
-                    healthy_endurance,
-                    TimingModel::PAPER,
-                    faults,
-                ),
-            }
+                _ => (healthy, paper, faults),
+            };
+            MemoryController::with_faults(Journaled::new(scheme), endurance, timing, faults)
         })
         .collect();
-    MultiBankSystem::from_controllers(banks)
+    FrontEnd::new(MultiBankSystem::from_controllers(banks), serve_cfg)
 }
 
 /// The chaos schedule: a uniform read/write mix with recurring arrival
 /// bursts at the faulty bank and a mid-trace hot-spot on the dying bank.
-fn chaos_trace(opts: &Opts, system_lines: u64, batch: usize) -> Vec<Request> {
-    let n = if opts.quick { 24_000 } else { 96_000 };
+fn chaos_trace(n: usize, system_lines: u64, batch: usize) -> Vec<Request> {
     let lines_per_bank = system_lines / BANKS as u64;
     let hot: Vec<u64> = (0..4)
         .map(|k| k * BANKS as u64 + DYING_BANK as u64)
@@ -191,8 +195,7 @@ fn chaos_trace(opts: &Opts, system_lines: u64, batch: usize) -> Vec<Request> {
 /// the same way `ShardedTraceRunner` does it — an independent stream per
 /// bank keyed by [`shard_seed`], round-robin interleaved into arrivals —
 /// with no bursts and no hot-spot. The control group for the chaos rows.
-fn benign_trace(opts: &Opts, system_lines: u64, _batch: usize) -> Vec<Request> {
-    let n = if opts.quick { 24_000 } else { 96_000 };
+fn benign_trace(n: usize, system_lines: u64) -> Vec<Request> {
     let lines_per_bank = system_lines / BANKS as u64;
     let spec = WorkloadSpec::Zipf {
         s: 1.1,
@@ -224,13 +227,20 @@ fn benign_trace(opts: &Opts, system_lines: u64, _batch: usize) -> Vec<Request> {
     reqs
 }
 
-/// One full replay of the chaos trace through a freshly built system.
+/// One full replay of a trace through a freshly built system: per-bank
+/// accumulators (the total at index `BANKS`), the simulator's run, and the
+/// final front-end.
 struct Replay {
     acc: Vec<BankAcc>,
-    audited: u64,
-    lost_acked: u64,
-    quarantined_at: Vec<Option<Ns>>,
-    nreqs: usize,
+    run: Run,
+    fe: Sim<SecurityRbsg>,
+}
+
+impl Replay {
+    fn quarantined_at(&self, bank: usize) -> Option<Ns> {
+        let events = self.fe.quarantine_events();
+        events.iter().find(|e| e.bank == bank).map(|e| e.at_ns)
+    }
 }
 
 fn replay(
@@ -240,128 +250,30 @@ fn replay(
     closed_loop: bool,
     benign: bool,
 ) -> Replay {
-    let system = build_system(opts);
-    let lines = system.logical_lines();
+    let n = if opts.quick { 24_000 } else { 96_000 };
+    let build = || build_system(opts, serve_cfg);
+    let lines = build().system().logical_lines();
     let reqs = if benign {
-        benign_trace(opts, lines, batch)
+        benign_trace(n, lines)
     } else {
-        chaos_trace(opts, lines, batch)
+        chaos_trace(n, lines, batch)
     };
-    let nreqs = reqs.len();
-    let mut fe = FrontEnd::new(system, serve_cfg);
-
-    let mut acc: Vec<BankAcc> = vec![BankAcc::default(); BANKS];
-    // Write-loss audit: last device-touching write per address, and
-    // whether it was acknowledged. Only acknowledged last-writers must
-    // read back intact; an unverified pulse may leave the line torn.
-    let mut last_touch: BTreeMap<u64, (LineData, bool)> = BTreeMap::new();
-    // Closed loop: `QueueFull` rejects waiting for the next batch, with
-    // their deferral count.
-    let mut carry: Vec<(Request, u32)> = Vec::new();
-    let mut last_arrival: Ns = 0;
-
-    let mut chunks = reqs.chunks(batch);
-    loop {
-        let fresh = chunks.next();
-        if fresh.is_none() && carry.is_empty() {
-            break;
-        }
-        let fresh = fresh.unwrap_or(&[]);
-        // Deferred requests re-enter at the head of this batch, re-stamped
-        // to arrive with it (their original deadline is long blown).
-        let base_arrival = fresh
-            .first()
-            .map_or(last_arrival + 60_000, |r| r.arrival_ns);
-        let mut submit: Vec<(Request, u32)> = Vec::with_capacity(carry.len() + fresh.len());
-        for (mut req, tries) in carry.drain(..) {
-            req.arrival_ns = base_arrival;
-            req.deadline_ns = base_arrival + 60_000;
-            submit.push((req, tries));
-        }
-        submit.extend(fresh.iter().map(|r| (*r, 0)));
-        last_arrival = fresh.last().map_or(last_arrival + 60_000, |r| r.arrival_ns);
-
-        let done = fe.submit_batch(submit.iter().map(|(r, _)| *r).collect(), opts.jobs);
-        for ((req, tries), c) in submit.iter().zip(&done) {
-            let bank = (req.la % BANKS as u64) as usize;
-            let a = &mut acc[bank];
-            if *tries == 0 {
-                a.submitted += 1;
-            }
-            match &c.result {
-                Ok(s) => {
-                    if s.data.is_some() {
-                        a.served_reads += 1;
-                    } else {
-                        a.served_writes += 1;
-                    }
-                    a.retries += s.retries as u64;
-                    a.latencies.push(s.latency_ns);
-                }
-                Err(Rejected::QueueFull { .. }) => {
-                    if closed_loop && *tries < RESUBMIT_CAP {
-                        a.deferred += 1;
-                        carry.push((*req, tries + 1));
-                    } else {
-                        a.rej_queue_full += 1;
-                        if closed_loop {
-                            a.dropped += 1;
-                        }
-                    }
-                }
-                Err(Rejected::DeadlineExceeded { attempts, .. }) => {
-                    a.rej_deadline += 1;
-                    a.retries += attempts.saturating_sub(1) as u64;
-                }
-                Err(Rejected::BankQuarantined { .. }) => a.rej_quarantine += 1,
-                Err(Rejected::RetriesExhausted { attempts, .. }) => {
-                    a.rej_retries += 1;
-                    a.retries += attempts.saturating_sub(1) as u64;
-                }
-                Err(Rejected::Fault(_)) => a.rej_fault += 1,
-                // This harness never degrades the front-end to read-only.
-                Err(Rejected::ReadOnly) => unreachable!("read-only mode is never enabled here"),
-            }
-            if let Op::Write(data) = req.op {
-                if c.touched_device(true) {
-                    last_touch.insert(req.la, (data, c.result.is_ok()));
-                }
-            }
-        }
-    }
-
-    // Read back every address whose last device-touching write was
-    // acknowledged: an acknowledged write that does not survive is a lost
-    // write, and there must be none.
-    let mut audited = 0u64;
-    let mut lost_acked = 0u64;
-    for (&la, &(data, acked)) in &last_touch {
-        if !acked {
-            continue;
-        }
-        audited += 1;
-        let (stored, _) = fe.system_mut().try_read(la).expect("audit read");
-        if stored != data {
-            lost_acked += 1;
-        }
-    }
-
-    let quarantined_at: Vec<Option<Ns>> = (0..BANKS)
-        .map(|b| {
-            fe.quarantine_events()
-                .iter()
-                .find(|e| e.bank == b)
-                .map(|e| e.at_ns)
-        })
-        .collect();
-
-    Replay {
-        acc,
-        audited,
-        lost_acked,
-        quarantined_at,
-        nreqs,
-    }
+    let mut acc: Vec<BankAcc> = vec![BankAcc::default(); BANKS + 1];
+    // Closed loop: `QueueFull` rejects rejoin the next batch, re-stamped to
+    // arrive with it (their original deadline is long blown).
+    let feed = Feed {
+        jobs: opts.jobs,
+        restamp: Some(60_000),
+        ..Feed::batches(batch)
+    };
+    let mut on_done = |req: &Request, tries: u32, c: &Completion| {
+        let carry = acc[(req.la % BANKS as u64) as usize].note(tries, c, closed_loop);
+        acc[BANKS].note(tries, c, closed_loop);
+        carry
+    };
+    let sched = Schedule::default();
+    let (run, fe) = drive(&build, &reqs, feed, &sched, &mut on_done, &mut |_| {});
+    Replay { acc, run, fe }
 }
 
 pub fn run(opts: &Opts) {
@@ -378,126 +290,71 @@ pub fn run(opts: &Opts) {
     let closed = replay(opts, serve_cfg, batch, true, false);
     let benign = replay(opts, serve_cfg, batch, false, true);
 
-    let mut t = Table::new(
-        &format!(
-            "Chaos replay through the serving front-end ({} requests, batch {batch}, \
-             queue {}, {} front-end retries, closed loop re-queues QueueFull up to {} times)",
-            open.nreqs, serve_cfg.queue_depth, serve_cfg.max_retries, RESUBMIT_CAP
-        ),
-        &[
-            "mode",
-            "bank",
-            "role",
-            "submitted",
-            "reads",
-            "writes",
-            "retries",
-            "rej_queue",
-            "rej_deadline",
-            "rej_quarantine",
-            "rej_retry",
-            "rej_fault",
-            "deferred",
-            "dropped",
-            "rej_rate",
-            "p50_ns",
-            "p99_ns",
-            "p999_ns",
-            "quarantined_at_ns",
-            "lost_acked",
-        ],
-    );
+    let mut t = Table::keyed(&format!(
+        "Chaos replay through the serving front-end ({} requests, batch {batch}, \
+         queue {}, {} front-end retries, closed loop re-queues QueueFull up to {} times)",
+        open.acc[BANKS].stats.submitted, serve_cfg.queue_depth, serve_cfg.max_retries, RESUBMIT_CAP
+    ));
     let role = |b: usize| match b {
         FAULTY_BANK => "faulty",
         SLOW_BANK => "slow",
         DYING_BANK => "dying",
+        BANKS => "-",
         _ => "healthy",
     };
-    let mut totals: Vec<BankAcc> = Vec::new();
-    for (mode, r) in [("open", &open), ("closed", &closed), ("benign", &benign)] {
-        let mut total = BankAcc::default();
+    let modes = [("open", &open), ("closed", &closed), ("benign", &benign)];
+    for (mode, r) in modes {
         for (b, a) in r.acc.iter().enumerate() {
+            let total = b == BANKS;
             let mut lat = a.latencies.clone();
             lat.sort_unstable();
-            t.row(vec![
-                mode.to_string(),
-                b.to_string(),
-                role(b).to_string(),
-                a.submitted.to_string(),
-                a.served_reads.to_string(),
-                a.served_writes.to_string(),
-                a.retries.to_string(),
-                a.rej_queue_full.to_string(),
-                a.rej_deadline.to_string(),
-                a.rej_quarantine.to_string(),
-                a.rej_retries.to_string(),
-                a.rej_fault.to_string(),
-                a.deferred.to_string(),
-                a.dropped.to_string(),
-                format!("{:.4}", a.rejected() as f64 / a.submitted.max(1) as f64),
-                percentile_ns(&lat, 50.0).to_string(),
-                percentile_ns(&lat, 99.0).to_string(),
-                percentile_ns(&lat, 99.9).to_string(),
-                r.quarantined_at[b].map_or_else(|| "-".to_string(), |ns| ns.to_string()),
-                "-".to_string(),
+            let quarantined = r.quarantined_at(b).map_or("-".into(), |ns| ns.to_string());
+            let lost = if total {
+                r.run.lost.to_string()
+            } else {
+                "-".into()
+            };
+            t.row_keyed(vec![
+                ("mode", mode.to_string()),
+                ("bank", if total { "TOTAL".into() } else { b.to_string() }),
+                ("role", role(b).to_string()),
+                ("submitted", a.stats.submitted.to_string()),
+                ("reads", a.stats.served_reads.to_string()),
+                ("writes", a.stats.served_writes.to_string()),
+                ("retries", a.stats.retries.to_string()),
+                ("rej_queue", a.stats.rejected_queue_full.to_string()),
+                ("rej_deadline", a.stats.rejected_deadline.to_string()),
+                ("rej_quarantine", a.stats.rejected_quarantine.to_string()),
+                ("rej_retry", a.stats.rejected_retries.to_string()),
+                ("rej_fault", a.stats.rejected_fault.to_string()),
+                ("deferred", a.deferred.to_string()),
+                ("dropped", a.dropped.to_string()),
+                ("rej_rate", format!("{:.4}", a.stats.rejection_rate())),
+                ("p50_ns", percentile_ns(&lat, 50.0).to_string()),
+                ("p99_ns", percentile_ns(&lat, 99.0).to_string()),
+                ("p999_ns", percentile_ns(&lat, 99.9).to_string()),
+                ("quarantined_at_ns", quarantined),
+                ("lost_acked", lost),
             ]);
-            total.submitted += a.submitted;
-            total.served_reads += a.served_reads;
-            total.served_writes += a.served_writes;
-            total.retries += a.retries;
-            total.rej_queue_full += a.rej_queue_full;
-            total.rej_deadline += a.rej_deadline;
-            total.rej_quarantine += a.rej_quarantine;
-            total.rej_retries += a.rej_retries;
-            total.rej_fault += a.rej_fault;
-            total.deferred += a.deferred;
-            total.dropped += a.dropped;
-            total.latencies.extend(&a.latencies);
         }
-        total.latencies.sort_unstable();
-        t.row(vec![
-            mode.to_string(),
-            "TOTAL".to_string(),
-            "-".to_string(),
-            total.submitted.to_string(),
-            total.served_reads.to_string(),
-            total.served_writes.to_string(),
-            total.retries.to_string(),
-            total.rej_queue_full.to_string(),
-            total.rej_deadline.to_string(),
-            total.rej_quarantine.to_string(),
-            total.rej_retries.to_string(),
-            total.rej_fault.to_string(),
-            total.deferred.to_string(),
-            total.dropped.to_string(),
-            format!(
-                "{:.4}",
-                total.rejected() as f64 / total.submitted.max(1) as f64
-            ),
-            percentile_ns(&total.latencies, 50.0).to_string(),
-            percentile_ns(&total.latencies, 99.0).to_string(),
-            percentile_ns(&total.latencies, 99.9).to_string(),
-            "-".to_string(),
-            r.lost_acked.to_string(),
-        ]);
-        totals.push(total);
     }
     t.print();
     t.write_csv(&opts.out_dir, "serve");
+    let totals = [&open, &closed, &benign].map(|r| &r.acc[BANKS]);
 
     println!(
         "\nopen loop: audited {} acknowledged last-writers, lost {}; \
          closed loop: audited {}, lost {}, deferred {}, dropped {}; \
          benign sharded workload: audited {}, lost {}, rejected {}",
-        open.audited,
-        open.lost_acked,
-        closed.audited,
-        closed.lost_acked,
+        open.run.audited,
+        open.run.lost,
+        closed.run.audited,
+        closed.run.lost,
         totals[1].deferred,
         totals[1].dropped,
-        benign.audited,
-        benign.lost_acked,
-        totals[2].rejected()
+        benign.run.audited,
+        benign.run.lost,
+        totals[2].stats.rejected()
     );
 
     // The acceptance bars for this experiment: chaos must actually bite
@@ -505,18 +362,17 @@ pub fn run(opts: &Opts) {
     // no acknowledged write may be lost in either mode, and the closed
     // loop must actually convert queue-full rejections into deferrals —
     // ending with strictly fewer requests lost to full queues.
-    assert_eq!(open.lost_acked, 0, "acknowledged writes must survive chaos");
-    assert_eq!(
-        closed.lost_acked, 0,
-        "acknowledged writes must survive chaos (closed loop)"
-    );
+    assert_contract(modes.map(|(_, r)| &r.run));
     assert!(
-        totals[0].rejected() > 0,
+        totals[0].stats.rejected() > 0,
         "chaos schedule produced no rejections"
     );
-    assert!(totals[0].retries > 0, "chaos schedule produced no retries");
     assert!(
-        open.quarantined_at[DYING_BANK].is_some(),
+        totals[0].stats.retries > 0,
+        "chaos schedule produced no retries"
+    );
+    assert!(
+        open.quarantined_at(DYING_BANK).is_some(),
         "the dying bank never hit the quarantine threshold"
     );
     assert!(
@@ -524,18 +380,14 @@ pub fn run(opts: &Opts) {
         "closed loop never deferred anything"
     );
     assert!(
-        totals[1].rej_queue_full < totals[0].rej_queue_full,
+        totals[1].stats.rejected_queue_full < totals[0].stats.rejected_queue_full,
         "closed loop did not reduce queue-full losses ({} vs {})",
-        totals[1].rej_queue_full,
-        totals[0].rej_queue_full
-    );
-    assert_eq!(
-        benign.lost_acked, 0,
-        "acknowledged writes must survive the benign sharded workload"
+        totals[1].stats.rejected_queue_full,
+        totals[0].stats.rejected_queue_full
     );
     assert!(
-        totals[2].rej_queue_full == 0,
+        totals[2].stats.rejected_queue_full == 0,
         "benign sharded traffic should never overflow a queue ({} rejections)",
-        totals[2].rej_queue_full
+        totals[2].stats.rejected_queue_full
     );
 }

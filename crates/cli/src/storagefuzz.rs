@@ -1,19 +1,19 @@
 //! `experiments storagefuzz` — seeded storage-fault fuzzing of the
-//! persistence stack under load.
+//! persistence stack under load, a preset of the fault simulator
+//! ([`crate::faultsim`]).
 //!
 //! Every iteration replays a random read/write stream through the batched
 //! serving front-end over three journaled Security RBSG banks, running the
-//! server engine's durable-before-ack contract against a [`DiskShelf`] on
-//! deterministic fault-injecting media ([`FaultyMedia`] over [`MemMedia`]).
-//! Iterations cycle through the whole fault matrix — short write,
-//! transient EIO (healed by retry or escalated to crash-restart),
-//! persistent ENOSPC (typed read-only degradation), a lying fsync
-//! (materialized at the next power cut), a failed commit rename, and
-//! at-rest bit rot discovered on reload — plus a fault-free control that
-//! must match the never-faulted reference bit for bit. Scheduled power
-//! cuts restart the stack through shelf load (scrub-healing rotten
-//! copies) and re-keyed journal recovery, resubmitting the writes of any
-//! save that failed.
+//! server engine's durable-before-ack contract against a shelf on
+//! deterministic fault-injecting media ([`Restart::Shelf`]). Iterations
+//! cycle through the whole fault matrix — short write, transient EIO
+//! (healed by retry or escalated to crash-restart), persistent ENOSPC
+//! (typed read-only degradation), a lying fsync (materialized at the next
+//! power cut), a failed commit rename, and at-rest bit rot discovered on
+//! reload — plus a fault-free control that must match the never-faulted
+//! reference bit for bit. Scheduled power cuts restart the stack through
+//! the server's own shelf load (scrub-healing rotten copies) and re-keyed
+//! `restore`, resubmitting the writes of any save that failed.
 //!
 //! Invariants, on every iteration:
 //!
@@ -30,28 +30,24 @@
 //! so the table and `results/storagefuzz.csv` are byte-identical for any
 //! `--jobs N`. The iteration count is printed for the CI gate log.
 
+use crate::faultsim::{
+    assert_contract, drive, fuzz_trace, rbsg_banks, Feed, Restart, Run, Schedule,
+};
 use crate::table::Table;
 use crate::Opts;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
-use srbsg_core::{SecurityRbsg, SecurityRbsgConfig};
-use srbsg_parallel::splitmix64;
-use srbsg_pcm::{LineData, MemoryController, MultiBankSystem, Ns, TimingModel};
-use srbsg_persist::{
-    CheckpointPolicy, FaultKind, FaultPlan, FaultyMedia, Journaled, Media, MemMedia, SharedMedia,
-};
-use srbsg_serve::{FrontEnd, Op, Rejected, Request, ServeConfig};
-use srbsg_server::{
-    save_with_healing, BankShelf, DiskShelf, RetryPolicy, SaveOutcome, ServerScheme, ShelfScrub,
-    ShelfState, SHELF_SLOTS,
-};
+use srbsg_persist::{CheckpointPolicy, FaultKind, FaultPlan};
+use srbsg_serve::{Completion, Rejected, Request};
+use srbsg_server::SHELF_SLOTS;
 use std::collections::BTreeMap;
 
-const BANKS: usize = 3;
+/// Requests per batch, and so per durable-before-ack save.
+const BATCH: usize = 48;
 
 /// The fault matrix, cycled by iteration index so every kind gets equal
 /// coverage; `None` is the fault-free control lane.
-const MODES: [Option<FaultKind>; 7] = [
+const KINDS: [Option<FaultKind>; 7] = [
     None,
     Some(FaultKind::ShortWrite),
     Some(FaultKind::TransientIo),
@@ -61,235 +57,24 @@ const MODES: [Option<FaultKind>; 7] = [
     Some(FaultKind::BitRot),
 ];
 
-fn mode_name(kind: Option<FaultKind>) -> &'static str {
+fn kind_name(kind: Option<FaultKind>) -> &'static str {
     kind.map_or("none", |k| k.name())
 }
 
-/// What one fuzz iteration drew and measured. Contract violations panic
-/// the iteration (and `par_map` propagates the panic).
-#[derive(Debug, Clone)]
-struct FuzzOut {
-    kind: Option<FaultKind>,
-    at_op: u64,
-    burst: u64,
-    /// Whether the armed plan actually fired (a deep `at_op` can land
-    /// past the operations the stream produces — still a valid iteration,
-    /// the invariants just hold trivially).
-    fired: bool,
-    saves: u64,
-    acked: u64,
-    /// Writes of failed saves reissued after a crash-restart.
-    resubmitted: u64,
-    lost_acked: u64,
-    /// Transient-retry attempts beyond the first that a healed save used.
-    retried: u64,
-    /// Crash-restarts taken (failed save or scheduled power cut).
-    restarts: u64,
-    /// Shelf copies healed by the load scrub (bit rot / torn slot).
-    healed_slots: u64,
-    read_only: bool,
-    shed_read_only: u64,
-    reads_after_read_only: u64,
-    equivalent: bool,
-}
-
-/// The serving policy for the fuzz runs: deep queues, no deadlines in
-/// play, no quarantine — every rejection must be an injected-storage
-/// outcome.
-fn serve_cfg() -> ServeConfig {
-    ServeConfig {
-        queue_depth: 512,
-        max_retries: 1,
-        backoff_base_ns: 500,
-        backoff_cap_ns: 16_000,
-        backoff_seed: 0x5E4E_5EED,
-        quarantine_spare_frac: 0.0,
-    }
-}
-
-fn build(iter: u64, policy: CheckpointPolicy) -> FrontEnd<ServerScheme> {
-    let banks = (0..BANKS)
-        .map(|b| {
-            let mut cfg = SecurityRbsgConfig::small(4, 2);
-            cfg.seed = 0x0057_012A_6E00 ^ (iter << 8) ^ b as u64;
-            MemoryController::new(
-                Journaled::with_policy(SecurityRbsg::new(cfg), policy),
-                u64::MAX,
-                TimingModel::PAPER,
-            )
-        })
-        .collect();
-    FrontEnd::new(MultiBankSystem::from_controllers(banks), serve_cfg())
-}
-
-/// A random request stream over all banks: uniform addresses, 60/40
-/// write/read, no meaningful deadlines.
-fn fuzz_trace(rng: &mut StdRng, lines: u64, n: usize) -> Vec<Request> {
-    let mut arrival: Ns = 0;
-    (0..n)
-        .map(|i| {
-            arrival += (100 + rng.random::<u64>() % 200) as Ns;
-            let la = rng.random::<u64>() % lines;
-            let op = if rng.random::<u32>() % 5 < 3 {
-                Op::Write(LineData::Mixed(i as u32 + 1))
-            } else {
-                Op::Read
-            };
-            Request {
-                la,
-                op,
-                arrival_ns: arrival,
-                deadline_ns: Ns::MAX,
-            }
-        })
-        .collect()
-}
-
-/// Snapshot the engine's durable image (mirrors the server's capture).
-fn capture(
-    fe: &FrontEnd<ServerScheme>,
-    save_seq: u64,
-    generation: u64,
-    seed: u64,
-    acked: u64,
-) -> ShelfState {
-    let sys = fe.system();
-    ShelfState {
-        save_seq,
-        generation,
-        seed,
-        now_ns: sys.now_ns(),
-        acked_writes: acked,
-        banks: sys
-            .banks()
-            .iter()
-            .map(|mc| BankShelf::capture(mc.scheme().store(), mc.bank()))
-            .collect(),
-    }
-}
-
-/// Restart from the shelf after a (simulated) power cut: load the newest
-/// valid copy (scrub-healing a damaged one), rebuild every bank through
-/// re-keyed journal recovery, and return the new front-end plus the scrub
-/// report. Mirrors the server's recovered boot path.
-fn restart(
-    shelf: &mut DiskShelf,
-    policy: CheckpointPolicy,
-) -> (FrontEnd<ServerScheme>, ShelfState, ShelfScrub) {
-    let (state, scrub) = shelf
-        .load()
-        .unwrap_or_else(|e| panic!("restart load failed: {e}"))
-        .expect("shelf must hold state after a committed save");
-    let generation = state.generation + 1;
-    let mut banks = Vec::with_capacity(state.banks.len());
-    for (b, bs) in state.banks.iter().enumerate() {
-        let mut bank = bs.restore_bank(u64::MAX, TimingModel::PAPER);
-        let rekey = splitmix64(state.seed ^ (generation << 20) ^ b as u64);
-        let (jw, _rec) = Journaled::<SecurityRbsg>::recover_rekeyed_with_policy(
-            &bs.store, &mut bank, rekey, policy,
-        )
-        .unwrap_or_else(|e| panic!("bank {b} recovery failed: {e}"));
-        let mut mc = MemoryController::from_bank(jw, bank);
-        mc.advance_clock(state.now_ns);
-        banks.push(mc);
-    }
-    let fe = FrontEnd::new(MultiBankSystem::from_controllers(banks), serve_cfg());
-    (fe, state, scrub)
-}
-
-/// What [`cut_and_recover`] produced: the rebuilt front-end, the committed
-/// counters, and what the recovery had to do along the way.
-struct Recovered {
-    fe: FrontEnd<ServerScheme>,
-    save_seq: u64,
-    generation: u64,
-    restarts: u64,
-    healed_slots: u64,
-    retried: u64,
-    /// The new-generation commit itself hit persistent ENOSPC; the
-    /// recovered device serves, but in read-only degradation.
-    read_only: bool,
-    saves: u64,
-}
-
-/// Power-cut the medium, restart from the shelf, and commit the
-/// new-generation image — repeating the whole cycle if the commit itself
-/// is the save the armed fault kills (the single-fault model guarantees
-/// the loop terminates).
-fn cut_and_recover(
-    handle: &SharedMedia<FaultyMedia<MemMedia>>,
-    shelf: &mut DiskShelf,
-    policy: CheckpointPolicy,
-    dev_seed: u64,
-    acked: u64,
-    retry: &RetryPolicy,
-) -> Recovered {
-    let mut restarts = 0u64;
-    let mut healed_slots = 0u64;
-    let mut retried = 0u64;
-    let mut saves = 0u64;
-    loop {
-        restarts += 1;
-        handle.with(|m| m.power_cut());
-        let (fe, state, scrub) = restart(shelf, policy);
-        // A failed save may have committed its first slot before dying,
-        // so the recovered image can run ahead of the acked counter —
-        // never behind it.
-        assert!(
-            state.acked_writes >= acked,
-            "recovered shelf lost acked count"
-        );
-        healed_slots += u64::from(scrub.healed_slot.is_some());
-        let generation = state.generation + 1;
-        let save_seq = state.save_seq + 1;
-        let commit = capture(&fe, save_seq, generation, dev_seed, acked);
-        match save_with_healing(shelf, &commit, retry) {
-            SaveOutcome::Saved { attempts } => {
-                retried += u64::from(attempts - 1);
-                saves += 1;
-                return Recovered {
-                    fe,
-                    save_seq,
-                    generation,
-                    restarts,
-                    healed_slots,
-                    retried,
-                    read_only: false,
-                    saves,
-                };
-            }
-            SaveOutcome::ReadOnly(e) => {
-                assert!(e.is_no_space(), "mistyped read-only cause");
-                // The shelf still holds the pre-cut state; the recovered
-                // device serves reads and sheds writes from here on.
-                return Recovered {
-                    fe,
-                    save_seq: state.save_seq,
-                    generation: state.generation,
-                    restarts,
-                    healed_slots,
-                    retried,
-                    read_only: true,
-                    saves,
-                };
-            }
-            SaveOutcome::Failed(_) => {}
-        }
-    }
-}
+/// What one iteration drew: the fault kind, its `at_op`, and its burst.
+type Draw = (Option<FaultKind>, u64, u64);
 
 /// One fuzz iteration, end to end.
-fn run_iter(iter: u64, n: usize, batch: usize) -> FuzzOut {
+fn run_iter(iter: u64, n: usize) -> (Draw, Run) {
     let mut rng = StdRng::seed_from_u64(0x5702_A6EF ^ iter.wrapping_mul(0x9E37_79B9_7F4A_7C15));
-    let kind = MODES[(iter as usize) % MODES.len()];
-    let policy = CheckpointPolicy::every_steps(8);
+    let kind = KINDS[(iter as usize) % KINDS.len()];
     let dev_seed = rng.random::<u64>();
-    let nb = n.div_ceil(batch) as u64;
+    let nb = n.div_ceil(BATCH) as u64;
 
     // The plan's `at_op` is an absolute 1-based index into the relevant
     // operation category; a save is 2 writes, 2 renames, and 4 syncs, and
-    // one save runs per batch (plus the initial commit and any
-    // restart commits), so these ranges land inside the run.
+    // one save runs per batch (plus the initial commit and any restart
+    // commits), so these ranges land inside the run.
     let plan = kind.map(|k| {
         let mut p = match k {
             FaultKind::ShortWrite | FaultKind::TransientIo | FaultKind::NoSpace => {
@@ -312,8 +97,6 @@ fn run_iter(iter: u64, n: usize, batch: usize) -> FuzzOut {
         }
         p
     });
-    let at_op = plan.as_ref().map_or(0, |p| p.at_op);
-    let burst = plan.as_ref().map_or(0, |p| p.burst);
     // A power cut mid-stream: always for the kinds it materializes
     // (sync-lie, bit rot), occasionally everywhere else.
     let cut_after = match kind {
@@ -321,277 +104,86 @@ fn run_iter(iter: u64, n: usize, batch: usize) -> FuzzOut {
         _ => (rng.random::<u32>() % 4 == 0).then(|| rng.random::<u64>() % nb),
     };
 
-    // The reference never faults but runs the identical serving path.
-    let mut reference = build(iter, policy);
-    let lines = reference.system().logical_lines();
-    let reqs = fuzz_trace(&mut rng, lines, n);
-    for chunk in reqs.chunks(batch) {
-        for c in reference.submit_batch(chunk.to_vec(), 1) {
-            assert!(c.result.is_ok(), "reference run rejected a request");
-        }
-    }
-
-    let handle = SharedMedia::new(FaultyMedia::new(MemMedia::new()));
-    let mut shelf = DiskShelf::with_media(Box::new(handle.clone()));
-    let retry = RetryPolicy {
-        sleep: false,
-        ..RetryPolicy::default()
+    let build = || {
+        rbsg_banks(
+            0x0057_012A_6E00 ^ (iter << 8),
+            CheckpointPolicy::every_steps(8),
+        )
     };
-    let mut fe = build(iter, policy);
-    let mut save_seq = 1u64;
-    let mut generation = 0u64;
-    // The fresh-boot commit runs fault-free; the plan arms after it so
-    // `at_op` counts operations under load.
-    shelf
-        .save(&capture(&fe, save_seq, generation, dev_seed, 0))
-        .expect("fresh-boot save cannot fault");
-    if let Some(p) = plan {
-        handle.with(|m| m.set_plan(p));
-    }
-
-    // Last acknowledged write per address, in completion order — within a
-    // bank the completion order is the device order, and each address
-    // lives on exactly one bank.
-    let mut last_acked: BTreeMap<u64, LineData> = BTreeMap::new();
-    let mut out = FuzzOut {
+    let reqs = fuzz_trace(&mut rng, build().system().logical_lines(), n);
+    let draw = (
         kind,
-        at_op,
-        burst,
-        fired: false,
-        saves: 1,
-        acked: 0,
-        resubmitted: 0,
-        lost_acked: 0,
-        retried: 0,
-        restarts: 0,
-        healed_slots: 0,
-        read_only: false,
-        shed_read_only: 0,
-        reads_after_read_only: 0,
-        equivalent: false,
+        plan.as_ref().map_or(0, |p| p.at_op),
+        plan.as_ref().map_or(0, |p| p.burst),
+    );
+    let sched = Schedule {
+        media: plan,
+        cut_after,
+        restart: Restart::Shelf(dev_seed),
+        ..Schedule::default()
     };
-    let mut carry: Vec<Request> = Vec::new();
-    let mut chunks = reqs.chunks(batch);
-    let mut bi = 0u64;
-    loop {
-        let fresh = chunks.next();
-        if fresh.is_none() && carry.is_empty() {
-            break;
+    // The only rejection allowed is the typed read-only shed, which the
+    // simulator accounts for.
+    let mut on_done = |_: &Request, _: u32, c: &Completion| {
+        if let Err(e) = c.result {
+            assert_eq!(e, Rejected::ReadOnly, "iter {iter}: unexpected rejection");
         }
-        // Writes of a failed save re-enter at the head of the batch, so
-        // each address's write order matches the reference stream.
-        let mut submit: Vec<Request> = std::mem::take(&mut carry);
-        out.resubmitted += submit.len() as u64;
-        submit.extend_from_slice(fresh.unwrap_or(&[]));
-        let done = fe.submit_batch(submit.clone(), 1);
-        // Device-applied writes of this batch: acked only if the save
-        // that covers them lands (durable-before-ack).
-        let mut pending: Vec<(u64, LineData)> = Vec::new();
-        for (req, c) in submit.iter().zip(&done) {
-            match &c.result {
-                Ok(_) => match req.op {
-                    Op::Write(data) => pending.push((req.la, data)),
-                    Op::Read if out.read_only => out.reads_after_read_only += 1,
-                    Op::Read => {}
-                },
-                Err(Rejected::ReadOnly) => {
-                    assert!(
-                        out.read_only && matches!(req.op, Op::Write(_)),
-                        "iter {iter}: spurious read-only shed"
-                    );
-                    out.shed_read_only += 1;
-                }
-                Err(e) => panic!("iter {iter}: unexpected rejection {e:?}"),
-            }
-        }
-        if out.read_only {
-            // Degraded: reads keep serving, writes shed at admission,
-            // nothing touches the full medium — no save to attempt.
-            assert!(pending.is_empty(), "iter {iter}: write admitted read-only");
-            bi += 1;
-            continue;
-        }
-        let snap = capture(
-            &fe,
-            save_seq + 1,
-            generation,
-            dev_seed,
-            out.acked + pending.len() as u64,
-        );
-        let mut saved = false;
-        match save_with_healing(&mut shelf, &snap, &retry) {
-            SaveOutcome::Saved { attempts } => {
-                out.retried += u64::from(attempts - 1);
-                save_seq += 1;
-                out.saves += 1;
-                for &(la, data) in &pending {
-                    last_acked.insert(la, data);
-                    out.acked += 1;
-                }
-                saved = true;
-            }
-            SaveOutcome::ReadOnly(e) => {
-                assert!(e.is_no_space(), "iter {iter}: mistyped read-only cause");
-                // The batch's writes reached the device but were never
-                // acked; their addresses now hold indeterminate values,
-                // so they leave the acked audit set.
-                for (la, _) in &pending {
-                    last_acked.remove(la);
-                }
-                out.read_only = true;
-                fe.set_read_only(true);
-            }
-            SaveOutcome::Failed(_) => {
-                // Crash-restart: the device rolls back to the last
-                // committed save; the failed batch's writes resubmit at
-                // the head of the next batch.
-                let rec = cut_and_recover(&handle, &mut shelf, policy, dev_seed, out.acked, &retry);
-                out.restarts += rec.restarts;
-                out.healed_slots += rec.healed_slots;
-                out.retried += rec.retried;
-                out.saves += rec.saves;
-                fe = rec.fe;
-                save_seq = rec.save_seq;
-                generation = rec.generation;
-                if rec.read_only {
-                    // The recovery commit hit ENOSPC: the failed batch's
-                    // writes can never resubmit (they would be shed), and
-                    // a half-committed slot may already hold them — their
-                    // addresses leave the acked audit set.
-                    for (la, _) in &pending {
-                        last_acked.remove(la);
-                    }
-                    out.read_only = true;
-                    fe.set_read_only(true);
-                } else {
-                    carry = submit
-                        .iter()
-                        .filter(|r| matches!(r.op, Op::Write(_)))
-                        .copied()
-                        .collect();
-                }
-            }
-        }
-        // Scheduled power cut, after a clean save so nothing is in
-        // flight: materializes a lying fsync (undurable data vanishes)
-        // and at-rest bit rot (discovered and healed by the load scrub).
-        if saved && Some(bi) == cut_after {
-            let rec = cut_and_recover(&handle, &mut shelf, policy, dev_seed, out.acked, &retry);
-            out.restarts += rec.restarts;
-            out.healed_slots += rec.healed_slots;
-            out.retried += rec.retried;
-            out.saves += rec.saves;
-            fe = rec.fe;
-            save_seq = rec.save_seq;
-            generation = rec.generation;
-            if rec.read_only {
-                // Nothing was pending (the cut runs after a clean save),
-                // so the audit set is untouched; just degrade.
-                out.read_only = true;
-                fe.set_read_only(true);
-            }
-        }
-        bi += 1;
-    }
-
-    out.fired = handle.with(|m| m.stats()).fired > 0;
-    // Invariant 1: every acknowledged write survives every fault.
-    for (&la, &data) in &last_acked {
-        let (stored, _) = fe.system_mut().try_read(la).expect("audit read");
-        if stored != data {
-            out.lost_acked += 1;
-        }
-    }
-    // Invariant 2: unless degraded read-only, recovered-then-continued
-    // equals never-faulted, everywhere.
-    out.equivalent = !out.read_only
-        && (0..lines).all(|la| {
-            fe.system_mut().try_read(la).expect("read").0
-                == reference.system_mut().try_read(la).expect("read").0
-        });
-    out
+        false
+    };
+    let feed = Feed::batches(BATCH);
+    let (run, _) = drive(&build, &reqs, feed, &sched, &mut on_done, &mut |_| {});
+    (draw, run)
 }
 
 pub fn run(opts: &Opts) {
     let iters: u64 = if opts.quick { 63 } else { 245 };
     let n = if opts.quick { 360 } else { 600 };
-    let batch = 48;
 
     let results = srbsg_parallel::par_map((0..iters).collect(), opts.jobs, |iter| {
-        (iter, run_iter(iter, n, batch))
+        (iter, run_iter(iter, n))
     });
 
-    let mut t = Table::new(
-        &format!(
-            "Deterministic storage-fault fuzzing ({iters} iterations, {BANKS} journaled \
-             banks on faulty media, {n} requests per iteration)"
-        ),
-        &[
-            "iter",
-            "kind",
-            "at_op",
-            "burst",
-            "fired",
-            "saves",
-            "acked",
-            "resubmitted",
-            "lost_acked",
-            "retried",
-            "restarts",
-            "healed_slots",
-            "read_only",
-            "shed_read_only",
-            "reads_after_ro",
-            "equivalent",
-        ],
-    );
+    let mut t = Table::keyed(&format!(
+        "Deterministic storage-fault fuzzing ({iters} iterations, 3 journaled \
+         banks on faulty media, {n} requests per iteration)"
+    ));
     let mut fired_by_kind: BTreeMap<&'static str, u64> = BTreeMap::new();
-    let mut lost_total = 0u64;
-    let mut resub_total = 0u64;
-    let mut retried_total = 0u64;
-    let mut restart_total = 0u64;
-    let mut healed_total = 0u64;
-    let mut ro_iters = 0u64;
-    let mut shed_ro_total = 0u64;
-    let mut reads_after_ro_total = 0u64;
-    let mut all_equivalent = true;
-    for (iter, out) in &results {
-        if out.fired {
-            *fired_by_kind.entry(mode_name(out.kind)).or_insert(0) += 1;
+    for (iter, ((kind, at_op, burst), run)) in &results {
+        if run.media_fired {
+            *fired_by_kind.entry(kind_name(*kind)).or_insert(0) += 1;
         }
-        lost_total += out.lost_acked;
-        resub_total += out.resubmitted;
-        retried_total += out.retried;
-        restart_total += out.restarts;
-        healed_total += out.healed_slots;
-        ro_iters += u64::from(out.read_only);
-        shed_ro_total += out.shed_read_only;
-        reads_after_ro_total += out.reads_after_read_only;
-        // Read-only degradation is the one sanctioned divergence.
-        all_equivalent &= out.equivalent || out.read_only;
-        t.row(vec![
-            iter.to_string(),
-            mode_name(out.kind).to_string(),
-            out.at_op.to_string(),
-            out.burst.to_string(),
-            out.fired.to_string(),
-            out.saves.to_string(),
-            out.acked.to_string(),
-            out.resubmitted.to_string(),
-            out.lost_acked.to_string(),
-            out.retried.to_string(),
-            out.restarts.to_string(),
-            out.healed_slots.to_string(),
-            out.read_only.to_string(),
-            out.shed_read_only.to_string(),
-            out.reads_after_read_only.to_string(),
-            out.equivalent.to_string(),
+        t.row_keyed(vec![
+            ("iter", iter.to_string()),
+            ("kind", kind_name(*kind).to_string()),
+            ("at_op", at_op.to_string()),
+            ("burst", burst.to_string()),
+            ("fired", run.media_fired.to_string()),
+            ("saves", run.saves.to_string()),
+            ("acked", run.ledger.writes().to_string()),
+            ("resubmitted", run.resubmitted.to_string()),
+            ("lost_acked", run.lost.to_string()),
+            ("retried", run.retried.to_string()),
+            ("restarts", run.restarts.to_string()),
+            ("healed_slots", run.healed.to_string()),
+            ("read_only", run.read_only.to_string()),
+            ("shed_read_only", run.shed.to_string()),
+            ("reads_after_ro", run.ro_reads.to_string()),
+            ("equivalent", run.equivalent.to_string()),
         ]);
     }
     t.print();
     t.write_csv(&opts.out_dir, "storagefuzz");
 
+    let total = |f: fn(&Run) -> u64| results.iter().map(|(_, (_, r))| f(r)).sum::<u64>();
     let fired_total: u64 = fired_by_kind.values().sum();
+    let lost_total = total(|r| r.lost);
+    let resub_total = total(|r| r.resubmitted);
+    let retried_total = total(|r| r.retried);
+    let restart_total = total(|r| r.restarts);
+    let healed_total = total(|r| r.healed);
+    let ro_iters = total(|r| u64::from(r.read_only));
+    let shed_ro_total = total(|r| r.shed);
+    let reads_after_ro_total = total(|r| r.ro_reads);
     println!(
         "\nstoragefuzz: {iters} iterations completed; {fired_total} faults fired; \
          {retried_total} transient retries healed; {restart_total} crash-restarts; \
@@ -601,13 +193,10 @@ pub fn run(opts: &Opts) {
     );
 
     // Acceptance bars: zero loss, equivalence outside sanctioned
-    // degradation, and the whole fault matrix actually exercised.
-    assert_eq!(lost_total, 0, "an acknowledged write was lost");
-    assert!(
-        all_equivalent,
-        "a recovered run diverged from never-faulted"
-    );
-    for kind in MODES.into_iter().flatten() {
+    // degradation (the one sanctioned divergence), and the whole fault
+    // matrix actually exercised.
+    assert_contract(results.iter().map(|(_, (_, r))| r));
+    for kind in KINDS.into_iter().flatten() {
         assert!(
             fired_by_kind.get(kind.name()).copied().unwrap_or(0) > 0,
             "fault kind {} never fired — the fuzz space is miscalibrated",

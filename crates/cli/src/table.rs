@@ -26,6 +26,26 @@ impl Table {
         }
     }
 
+    /// New table whose header row comes from its first
+    /// [`Table::row_keyed`] call.
+    pub fn keyed(title: &str) -> Self {
+        Self::new_owned(title, Vec::new())
+    }
+
+    /// Append one row of `(header, cell)` pairs, so each column is named
+    /// where its value is produced. The first row fixes the header; every
+    /// later row must name the same columns in the same order.
+    pub fn row_keyed(&mut self, cells: Vec<(&str, String)>) {
+        let (headers, cells): (Vec<String>, Vec<String>) =
+            cells.into_iter().map(|(h, c)| (h.to_string(), c)).unzip();
+        if self.rows.is_empty() {
+            self.headers = headers;
+        } else {
+            assert_eq!(headers, self.headers, "keyed row names other columns");
+        }
+        self.rows.push(cells);
+    }
+
     /// Append one row (stringified cells).
     pub fn row(&mut self, cells: Vec<String>) {
         assert_eq!(cells.len(), self.headers.len());

@@ -265,3 +265,33 @@ fn faults_output_is_byte_identical_across_job_counts() {
     }
     std::fs::remove_dir_all(&base).ok();
 }
+
+/// The storage-fault fuzzer drives a shelf on fault-injecting media per
+/// iteration — saves, power cuts, scrub heals, re-keyed restores — all
+/// seeded from the iteration index, so its table and CSV must be
+/// byte-identical for any worker count.
+#[test]
+fn storagefuzz_output_is_byte_identical_across_job_counts() {
+    let base = std::env::temp_dir().join(format!(
+        "srbsg-storagefuzz-determinism-{}",
+        std::process::id()
+    ));
+    let mut outputs = Vec::new();
+    for jobs in [1u32, 2, 4] {
+        let dir = base.join(format!("jobs{jobs}"));
+        std::fs::create_dir_all(&dir).expect("create out dir");
+        outputs.push((jobs, run_fig("storagefuzz", jobs, &dir)));
+    }
+    let (_, serial) = &outputs[0];
+    for (jobs, parallel) in &outputs[1..] {
+        assert_eq!(
+            serial.0, parallel.0,
+            "storagefuzz.csv differs between --jobs 1 and --jobs {jobs}"
+        );
+        assert_eq!(
+            serial.1, parallel.1,
+            "storagefuzz stdout differs between --jobs 1 and --jobs {jobs}"
+        );
+    }
+    std::fs::remove_dir_all(&base).ok();
+}

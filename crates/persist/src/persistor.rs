@@ -75,6 +75,34 @@ pub enum CrashMode {
 }
 
 impl CrashMode {
+    /// One of each mode, in declaration order; [`CrashMode::AfterCommit`]
+    /// crashes two demand writes after its commit. Sweeps and fuzzers
+    /// iterate or index this list.
+    pub const ALL: [CrashMode; 8] = [
+        CrashMode::TornRecord,
+        CrashMode::RecordedNotApplied,
+        CrashMode::HalfApplied,
+        CrashMode::AppliedNoMarker,
+        CrashMode::AfterCommit { extra_writes: 2 },
+        CrashMode::CheckpointTornSnapshot,
+        CrashMode::CheckpointTornMarker,
+        CrashMode::CheckpointNotTruncated,
+    ];
+
+    /// Stable lowercase name (CSV columns, logs).
+    pub fn name(self) -> &'static str {
+        match self {
+            CrashMode::TornRecord => "torn_record",
+            CrashMode::RecordedNotApplied => "recorded_not_applied",
+            CrashMode::HalfApplied => "half_applied",
+            CrashMode::AppliedNoMarker => "applied_no_marker",
+            CrashMode::AfterCommit { .. } => "after_commit",
+            CrashMode::CheckpointTornSnapshot => "ckpt_torn_snapshot",
+            CrashMode::CheckpointTornMarker => "ckpt_torn_marker",
+            CrashMode::CheckpointNotTruncated => "ckpt_not_truncated",
+        }
+    }
+
     /// Whether this mode strikes inside the checkpoint-installation
     /// protocol rather than the step protocol.
     pub fn is_checkpoint_phase(self) -> bool {
@@ -465,6 +493,31 @@ impl StepSink for Persistor {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn crash_mode_list_is_complete_and_names_are_unique() {
+        // Exhaustive on purpose: a new variant fails to compile here until
+        // it is given a slot in `ALL`.
+        let slot = |m: CrashMode| match m {
+            CrashMode::TornRecord => 0,
+            CrashMode::RecordedNotApplied => 1,
+            CrashMode::HalfApplied => 2,
+            CrashMode::AppliedNoMarker => 3,
+            CrashMode::AfterCommit { .. } => 4,
+            CrashMode::CheckpointTornSnapshot => 5,
+            CrashMode::CheckpointTornMarker => 6,
+            CrashMode::CheckpointNotTruncated => 7,
+        };
+        for (i, m) in CrashMode::ALL.into_iter().enumerate() {
+            assert_eq!(slot(m), i, "{m:?} out of place in CrashMode::ALL");
+        }
+        let names: std::collections::BTreeSet<_> = CrashMode::ALL.map(CrashMode::name).into();
+        assert_eq!(
+            names.len(),
+            CrashMode::ALL.len(),
+            "duplicate crash-mode name"
+        );
+    }
 
     #[test]
     fn marker_roundtrip_and_every_bit_flip_rejected() {

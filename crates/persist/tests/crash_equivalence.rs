@@ -24,17 +24,6 @@ use srbsg_wearlevel::{
     AdaptiveRbsg, MultiWaySr, Rbsg, SecurityRefresh, StartGap, TwoLevelSr, WriteStreamDetector,
 };
 
-const MODES: [CrashMode; 8] = [
-    CrashMode::TornRecord,
-    CrashMode::RecordedNotApplied,
-    CrashMode::HalfApplied,
-    CrashMode::AppliedNoMarker,
-    CrashMode::AfterCommit { extra_writes: 2 },
-    CrashMode::CheckpointTornSnapshot,
-    CrashMode::CheckpointTornMarker,
-    CrashMode::CheckpointNotTruncated,
-];
-
 /// The checkpoint policy armed for every crash run: compact roughly every
 /// 8 steps, so checkpoint installations are frequent enough for the three
 /// checkpoint-phase crash modes to fire all over the trace, and every
@@ -195,7 +184,7 @@ fn sweep<W: JournaledScheme>(mk: &dyn Fn() -> W, writes: &[(u64, LineData)], eve
     let mut ckpt_fired = 0u64;
     let mut redone = 0u64;
     for &at_step in &points {
-        for mode in MODES {
+        for mode in CrashMode::ALL {
             if let Some(report) = check_crash(mk, writes, CrashPlan { at_step, mode }) {
                 fired += 1;
                 if mode.is_checkpoint_phase() {
@@ -292,12 +281,16 @@ fn security_rbsg_mid_key_rotation_crash_recovers() {
     let at_step = mid_round_step.expect("trace never caught the DFN mid-round");
 
     let mut hit = 0;
-    for mode in MODES {
+    for mode in CrashMode::ALL {
         if check_crash(&mk, &writes, CrashPlan { at_step, mode }).is_some() {
             hit += 1;
         }
     }
-    assert_eq!(hit, MODES.len() as u64, "every mode must fire mid-round");
+    assert_eq!(
+        hit,
+        CrashMode::ALL.len() as u64,
+        "every mode must fire mid-round"
+    );
 }
 
 /// Exhaustive sweep: every scheme, every step, every mode. Heavy — run

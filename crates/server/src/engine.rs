@@ -45,7 +45,7 @@ use std::time::{Duration, Instant};
 
 use srbsg_core::{SecurityRbsg, SecurityRbsgConfig};
 use srbsg_pcm::{LineData, MemoryController, MultiBankSystem, Ns, PcmError, TimingModel};
-use srbsg_persist::{CheckpointPolicy, Journaled};
+use srbsg_persist::{CheckpointPolicy, Journaled, JournaledScheme};
 use srbsg_serve::{FrontEnd, Op, Rejected, Request, ServeConfig};
 use srbsg_workloads::splitmix64;
 
@@ -233,8 +233,11 @@ fn policy(cfg: &ServerConfig) -> CheckpointPolicy {
     CheckpointPolicy::every_steps(cfg.checkpoint_every)
 }
 
-fn capture(
-    fe: &FrontEnd<ServerScheme>,
+/// Snapshot a front-end's durable image for the shelf: every bank's
+/// persistence store and PCM image plus the device clock. This is the one
+/// place a [`ShelfState`] is built from a live front-end.
+pub fn capture<S: JournaledScheme + Send>(
+    fe: &FrontEnd<Journaled<S>>,
     save_seq: u64,
     generation: u64,
     seed: u64,
@@ -255,9 +258,49 @@ fn capture(
     }
 }
 
+/// Rebuild the front-end a shelved image describes, as the next power
+/// generation: every bank goes through **re-keyed** journal recovery (a
+/// fresh per-generation seed, exactly as the paper prescribes after a
+/// power cycle) and resumes the shelved clock. The caller commits the
+/// new-generation image; the report carries the counters to commit with
+/// (`generation`, `save_seq`) and what recovery did.
+pub fn restore<S: JournaledScheme + Send>(
+    state: &ShelfState,
+    policy: CheckpointPolicy,
+    serve: ServeConfig,
+) -> std::io::Result<(FrontEnd<Journaled<S>>, BootReport)> {
+    let generation = state.generation + 1;
+    let mut report = BootReport {
+        generation,
+        recovered: true,
+        acked_writes: state.acked_writes,
+        save_seq: state.save_seq + 1,
+        ..BootReport::default()
+    };
+    let mut banks = Vec::with_capacity(state.banks.len());
+    for (b, bs) in state.banks.iter().enumerate() {
+        let mut bank = bs.restore_bank(u64::MAX, TimingModel::PAPER);
+        let rekey = splitmix64(state.seed ^ (generation << 20) ^ b as u64);
+        let (jw, rec) =
+            Journaled::<S>::recover_rekeyed_with_policy(&bs.store, &mut bank, rekey, policy)
+                .map_err(|e| {
+                    std::io::Error::new(
+                        std::io::ErrorKind::InvalidData,
+                        format!("bank {b} recovery failed: {e:?}"),
+                    )
+                })?;
+        report.replayed_steps += rec.replayed_steps;
+        report.rekey_movements += rec.rekey_movements;
+        let mut mc = MemoryController::from_bank(jw, bank);
+        mc.advance_clock(state.now_ns);
+        banks.push(mc);
+    }
+    let fe = FrontEnd::new(MultiBankSystem::from_controllers(banks), serve);
+    Ok((fe, report))
+}
+
 /// Build a fresh device or recover the shelved one. On recovery the
-/// Security RBSG mapping is **re-keyed** (a fresh per-generation seed),
-/// exactly as the paper prescribes after a power cycle, and the
+/// Security RBSG mapping is **re-keyed** (see [`restore`]), and the
 /// new-generation image is committed back to the shelf before serving.
 pub fn boot(
     cfg: &ServerConfig,
@@ -299,39 +342,12 @@ pub fn boot(
                         .unwrap_or_else(|| "unknown damage".into()),
                 );
             }
-            let generation = state.generation + 1;
-            let mut report = BootReport {
-                generation,
-                recovered: true,
-                acked_writes: state.acked_writes,
-                save_seq: state.save_seq + 1,
-                healed_shelf_slot: scrub.healed_slot.is_some(),
-                ..BootReport::default()
-            };
-            let mut banks = Vec::with_capacity(state.banks.len());
-            for (b, bs) in state.banks.iter().enumerate() {
-                let mut bank = bs.restore_bank(u64::MAX, TimingModel::PAPER);
-                let rekey = splitmix64(state.seed ^ (generation << 20) ^ b as u64);
-                let (jw, rec) = Journaled::<SecurityRbsg>::recover_rekeyed_with_policy(
-                    &bs.store, &mut bank, rekey, pol,
-                )
-                .map_err(|e| {
-                    std::io::Error::new(
-                        std::io::ErrorKind::InvalidData,
-                        format!("bank {b} recovery failed: {e:?}"),
-                    )
-                })?;
-                report.replayed_steps += rec.replayed_steps;
-                report.rekey_movements += rec.rekey_movements;
-                let mut mc = MemoryController::from_bank(jw, bank);
-                mc.advance_clock(state.now_ns);
-                banks.push(mc);
-            }
-            let fe = FrontEnd::new(MultiBankSystem::from_controllers(banks), cfg.serve);
+            let (fe, mut report) = restore(&state, pol, cfg.serve)?;
+            report.healed_shelf_slot = scrub.healed_slot.is_some();
             shelf.save(&capture(
                 &fe,
                 report.save_seq,
-                generation,
+                report.generation,
                 state.seed,
                 state.acked_writes,
             ))?;
