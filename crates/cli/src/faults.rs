@@ -27,8 +27,7 @@ use rand::rngs::{SmallRng, StdRng};
 use rand::{RngExt, SeedableRng};
 use srbsg_core::{SecurityRbsg, SecurityRbsgConfig};
 use srbsg_lifetime::{
-    srbsg_raa_degraded_exact_trials, srbsg_raa_degraded_lifetime,
-    srbsg_raa_degraded_lifetime_trials, PcmParams, SrbsgParams,
+    srbsg_raa_degraded_exact, srbsg_raa_degraded_lifetime, PcmParams, SrbsgParams,
 };
 use srbsg_pcm::{FaultConfig, LineData, MemoryController, MultiBankSystem, TimingModel};
 use srbsg_wearlevel::Rbsg;
@@ -290,10 +289,12 @@ fn exact_crosscheck(opts: &Opts) {
         spare_lines: 16,
     };
     let seeds: Vec<u64> = (0..opts.seeds.max(2)).collect();
-    let exact =
-        srbsg_raa_degraded_exact_trials(&params, &cfg, &fcfg, &seeds, u128::MAX >> 1, opts.jobs);
-    let ff =
-        srbsg_raa_degraded_lifetime_trials(&params, &cfg, &fcfg, &seeds, u128::MAX >> 1, opts.jobs);
+    let exact = srbsg_parallel::par_map(seeds.clone(), opts.jobs, move |s| {
+        srbsg_raa_degraded_exact(&params, &cfg, &fcfg, s, u128::MAX >> 1)
+    });
+    let ff = srbsg_parallel::par_map(seeds.clone(), opts.jobs, move |s| {
+        srbsg_raa_degraded_lifetime(&params, &cfg, &fcfg, s, u128::MAX >> 1)
+    });
     let mut t = Table::new(
         &format!(
             "faults — exact-tier cross-check (2^{} lines, E={}, {} seeds)",

@@ -4,7 +4,7 @@
 
 use srbsg_attacks::detection_margin;
 use srbsg_lifetime::{
-    sr2_raa_lifetime_trials, srbsg_bpa_lifetime_analytic, srbsg_raa_lifetime_split, SrbsgParams,
+    sr2_raa_lifetime, srbsg_bpa_lifetime_analytic, srbsg_raa_lifetime_split, SrbsgParams,
 };
 
 use crate::table::Table;
@@ -18,11 +18,11 @@ pub fn run(opts: &Opts) {
     };
     let ideal = opts.params.ideal_lifetime();
     let seeds: Vec<u64> = (0..opts.seeds).collect();
-    let sr2_ref: f64 = sr2_raa_lifetime_trials(&opts.params, 512, 64, 128, &seeds, opts.jobs)
-        .iter()
-        .map(|l| l.ns as f64)
-        .sum::<f64>()
-        / opts.seeds as f64;
+    let params = opts.params;
+    let sr2 = srbsg_parallel::par_map(seeds.clone(), opts.jobs, move |s| {
+        sr2_raa_lifetime(&params, 512, 64, 128, s)
+    });
+    let sr2_ref = sr2.iter().map(|l| l.ns as f64).sum::<f64>() / opts.seeds as f64;
 
     let mut t = Table::new(
         "Fig. 14 — Security RBSG lifetime vs DFN stages (days)",

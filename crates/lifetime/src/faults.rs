@@ -173,7 +173,7 @@ fn bank_stay(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{srbsg_raa_degraded_exact_trials, srbsg_raa_lifetime_split};
+    use crate::srbsg_raa_lifetime_split;
 
     fn small_cfg() -> SrbsgParams {
         SrbsgParams {
@@ -330,20 +330,17 @@ mod tests {
         let jobs = srbsg_parallel::available_jobs();
         let mean = |xs: &[u128]| xs.iter().map(|&x| x as f64).sum::<f64>() / xs.len() as f64;
         for (params, cfg) in configs {
-            let exact: Vec<u128> = srbsg_raa_degraded_exact_trials(
-                &params,
-                &cfg,
-                &FaultConfig::default(),
-                &seeds,
-                u128::MAX >> 1,
-                jobs,
-            )
-            .iter()
-            .map(|d| {
+            let exact = srbsg_parallel::par_map(seeds.clone(), jobs, move |s| {
+                let d = srbsg_raa_degraded_exact(
+                    &params,
+                    &cfg,
+                    &FaultConfig::default(),
+                    s,
+                    u128::MAX >> 1,
+                );
                 assert!(d.report.capacity_exhaustion.is_some());
                 d.capacity_exhaustion.writes
-            })
-            .collect();
+            });
             let split: Vec<u128> = seeds
                 .iter()
                 .map(|&s| srbsg_raa_lifetime_split(&params, &cfg, s, jobs).writes)

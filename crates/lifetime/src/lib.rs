@@ -25,7 +25,6 @@ mod rbsg;
 mod split;
 mod sr2;
 mod srbsg;
-mod trials;
 mod workload;
 
 pub use faults::{srbsg_raa_degraded_exact, srbsg_raa_degraded_lifetime, DegradationLifetime};
@@ -35,11 +34,6 @@ pub use split::{
 };
 pub use sr2::{sr2_raa_lifetime, sr2_rta_lifetime};
 pub use srbsg::{srbsg_bpa_lifetime, srbsg_bpa_lifetime_analytic, srbsg_rta_lifetime, SrbsgParams};
-pub use trials::{
-    rbsg_rta_lifetime_trials, sr2_raa_lifetime_trials, sr2_rta_lifetime_trials,
-    srbsg_bpa_lifetime_trials, srbsg_raa_degraded_exact_trials, srbsg_raa_degraded_lifetime_trials,
-    srbsg_rta_lifetime_trials,
-};
 pub use workload::workload_lifetime;
 
 use srbsg_pcm::TimingModel;

@@ -30,9 +30,10 @@
 //!   provably falls back to the surviving slot plus the full journal.
 //! * [`Media`]/[`FaultyMedia`] — a pluggable storage backend (in-memory,
 //!   real directory, deterministic fault injector) with a typed
-//!   [`MediaError`] and scrub-on-load healing ([`Store::load_from`]), so
-//!   the layers above can prove they survive short writes, transient EIO,
-//!   persistent ENOSPC, lying fsyncs, failed renames, and at-rest bit rot.
+//!   [`MediaError`], so the layer above (the server's disk shelf, which
+//!   scrubs and heals on load) can prove it survives short writes,
+//!   transient EIO, persistent ENOSPC, lying fsyncs, failed renames, and
+//!   at-rest bit rot.
 //!
 //! The crash-equivalence contract, verified by this crate's tests: for
 //! every injected crash point, recovering and continuing a workload is
@@ -54,12 +55,12 @@ pub use journaled::{
 };
 pub use media::{
     DirMedia, FaultKind, FaultPlan, FaultStats, FaultyMedia, Media, MediaError, MediaOp, MemMedia,
-    SharedMedia, StoreScrub, STORE_FILES,
+    SharedMedia,
 };
 pub use persistor::{
     decode_marker, encode_marker, CrashMode, CrashPlan, Persistor, Store, MARKER_MAGIC,
 };
 pub use state::{
-    decode_line_data, decode_snapshot, encode_line_data, encode_snapshot, expect_tag,
-    peek_snapshot_seq, tags, MetadataState, SNAPSHOT_MAGIC,
+    decode_line_data, decode_snapshot, encode_line_data, encode_snapshot, expect_tag, tags,
+    MetadataState, SNAPSHOT_MAGIC,
 };

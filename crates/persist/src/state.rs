@@ -247,34 +247,6 @@ pub fn decode_snapshot<S: MetadataState>(bytes: &[u8]) -> Result<(S, u64), Persi
     Ok((state, seq))
 }
 
-/// Validate a snapshot's framing and checksum without decoding the payload,
-/// returning its sequence number.
-///
-/// This is the scheme-agnostic integrity probe scrub-on-load uses: a medium
-/// holding snapshots of *any* [`MetadataState`] can be checked for rot (any
-/// bit flip fails the CRC) without knowing which scheme wrote them.
-pub fn peek_snapshot_seq(bytes: &[u8]) -> Result<u64, PersistError> {
-    let mut dec = Dec::new(bytes);
-    let magic = dec.u32()?;
-    if magic != SNAPSHOT_MAGIC {
-        return Err(PersistError::Corrupt("bad snapshot magic"));
-    }
-    let seq = dec.u64()?;
-    let len = dec.u32()? as usize;
-    if dec.remaining() < len + 8 {
-        return Err(PersistError::Truncated);
-    }
-    if dec.remaining() > len + 8 {
-        return Err(PersistError::Corrupt("trailing bytes after structure"));
-    }
-    let covered = bytes.len() - 8;
-    let stored_crc = u64::from_le_bytes(bytes[covered..].try_into().unwrap());
-    if crc64(&bytes[..covered]) != stored_crc {
-        return Err(PersistError::Corrupt("snapshot checksum mismatch"));
-    }
-    Ok(seq)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -319,27 +291,6 @@ mod tests {
                     "flip at byte {byte} bit {bit} was accepted"
                 );
             }
-        }
-    }
-
-    #[test]
-    fn peek_matches_decode_and_rejects_every_bit_flip() {
-        let mut rng = StdRng::seed_from_u64(5);
-        let net = FeistelNetwork::random(&mut rng, 6, 3);
-        let bytes = encode_snapshot(&net, 31);
-        assert_eq!(peek_snapshot_seq(&bytes).unwrap(), 31);
-        for byte in 0..bytes.len() {
-            for bit in 0..8 {
-                let mut bad = bytes.clone();
-                bad[byte] ^= 1 << bit;
-                assert!(
-                    peek_snapshot_seq(&bad).is_err(),
-                    "flip at byte {byte} bit {bit} passed the peek"
-                );
-            }
-        }
-        for cut in 0..bytes.len() {
-            assert!(peek_snapshot_seq(&bytes[..cut]).is_err());
         }
     }
 

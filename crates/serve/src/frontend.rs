@@ -6,7 +6,7 @@ use srbsg_pcm::{
 };
 use srbsg_persist::{write_verified_crashable, Journaled, JournaledScheme, PersistError};
 
-use crate::{backoff_ns, Completion, Op, Rejected, Request, ServeConfig, ServeStats, Served};
+use crate::{backoff_ns, Completion, Op, Rejected, Request, ServeConfig, Served};
 
 /// How a bank worker issues a write to its device — the only point where
 /// the plain and the crash-injected serving paths differ.
@@ -45,7 +45,6 @@ pub struct FrontEnd<W: WearLeveler> {
     quarantined: Vec<bool>,
     events: Vec<QuarantineEvent>,
     releases: Vec<QuarantineEvent>,
-    stats: ServeStats,
     next_id: u64,
     read_only: bool,
 }
@@ -60,7 +59,6 @@ impl<W: WearLeveler + Send> FrontEnd<W> {
             quarantined: vec![false; banks],
             events: Vec::new(),
             releases: Vec::new(),
-            stats: ServeStats::default(),
             next_id: 0,
             read_only: false,
         }
@@ -79,11 +77,6 @@ impl<W: WearLeveler + Send> FrontEnd<W> {
     /// Mutable system access (e.g. post-trace read-back audits).
     pub fn system_mut(&mut self) -> &mut MultiBankSystem<W> {
         &mut self.system
-    }
-
-    /// Running counters.
-    pub fn stats(&self) -> &ServeStats {
-        &self.stats
     }
 
     /// Quarantine events so far, in trigger order (bank order within a
@@ -263,9 +256,6 @@ impl<W: WearLeveler + Send> FrontEnd<W> {
             completions.extend(done);
         }
         completions.sort_by_key(|c| c.id);
-        for c in &completions {
-            self.stats.note(c);
-        }
         completions
     }
 }

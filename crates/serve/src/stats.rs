@@ -4,8 +4,9 @@ use srbsg_pcm::Ns;
 
 use crate::{Completion, Rejected};
 
-/// Running counters of the front-end's decisions. Updated in request-id
-/// order after each batch, so they are identical for any worker count.
+/// Counters of the front-end's decisions, folded by the caller from the
+/// completions it receives ([`ServeStats::note`]). Folded in request-id
+/// order, they are identical for any worker count.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ServeStats {
     /// Requests submitted (including rejected ones).

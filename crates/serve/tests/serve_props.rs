@@ -8,7 +8,7 @@ use srbsg_pcm::{
     FaultConfig, LineAddr, LineData, MemoryController, MultiBankSystem, Ns, PcmBank, TimingModel,
     WearLeveler,
 };
-use srbsg_serve::{Completion, FrontEnd, Op, Rejected, Request, ServeConfig};
+use srbsg_serve::{Completion, FrontEnd, Op, Rejected, Request, ServeConfig, ServeStats};
 
 /// An identity (non-remapping) wear-leveler: every logical line is its own
 /// physical slot, so wear concentrates exactly where the trace points it —
@@ -49,6 +49,13 @@ fn rbsg_system(banks: usize, endurance: u64) -> MultiBankSystem<SecurityRbsg> {
         })
         .collect();
     MultiBankSystem::new(schemes, endurance, TimingModel::PAPER)
+}
+
+/// The counters of a run of completions, folded in request order.
+fn fold(done: &[Completion]) -> ServeStats {
+    let mut stats = ServeStats::default();
+    done.iter().for_each(|c| stats.note(c));
+    stats
 }
 
 fn decode_data(d: u8) -> LineData {
@@ -185,15 +192,12 @@ proptest! {
             for _ in 0..4 {
                 all.extend(fe.submit_batch(reqs.clone(), jobs));
             }
-            let events = fe.quarantine_events().to_vec();
-            let stats = *fe.stats();
-            (all, events, stats)
+            (all, fe.quarantine_events().to_vec())
         };
-        let (c1, e1, s1) = run(1);
-        let (c4, e4, s4) = run(4);
+        let (c1, e1) = run(1);
+        let (c4, e4) = run(4);
         prop_assert_eq!(c1, c4);
         prop_assert_eq!(e1, e4);
-        prop_assert_eq!(s1, s4);
     }
 }
 
@@ -226,8 +230,9 @@ fn queue_full_rejects_at_admission() {
         );
         assert!(!c.touched_device(true));
     }
-    assert_eq!(fe.stats().rejected_queue_full, 2);
-    assert_eq!(fe.stats().served_writes, 2);
+    let stats = fold(&done);
+    assert_eq!(stats.rejected_queue_full, 2);
+    assert_eq!(stats.served_writes, 2);
 }
 
 #[test]
@@ -262,7 +267,7 @@ fn deadline_expiry_before_start_leaves_device_untouched() {
     assert!(!done[1].touched_device(true));
     // Exactly one demand write reached the device.
     assert_eq!(fe.system().banks()[0].demand_writes(), 1);
-    assert_eq!(fe.stats().rejected_deadline, 1);
+    assert_eq!(fold(&done).rejected_deadline, 1);
 }
 
 /// A fault config where every write attempt fails verification forever:
@@ -308,8 +313,9 @@ fn retry_budget_exhausts_with_backoff_then_rejects() {
         })
     );
     assert!(done[0].touched_device(true), "the failed pulses did land");
-    assert_eq!(fe.stats().rejected_retries, 1);
-    assert_eq!(fe.stats().retries, 3);
+    let stats = fold(&done);
+    assert_eq!(stats.rejected_retries, 1);
+    assert_eq!(stats.retries, 3);
     // The backoff sleeps are on the bank clock: 4 attempts' device time
     // plus 3 jittered delays, each at least half its nominal.
     let min_backoff: Ns = 50 + 100 + 200;
@@ -357,7 +363,7 @@ fn deadline_mid_retry_reports_attempts() {
         }
         ref other => panic!("expected mid-retry deadline rejection, got {other:?}"),
     }
-    assert_eq!(fe.stats().rejected_deadline, 1);
+    assert_eq!(fold(&done).rejected_deadline, 1);
 }
 
 #[test]
@@ -374,10 +380,11 @@ fn quarantined_bank_serves_reads_and_rejects_writes() {
     let mut fe = FrontEnd::new(sys, ServeConfig::default());
 
     let mut writes = 0u64;
+    let mut all = Vec::new();
     while !fe.is_quarantined(0) {
         assert!(writes < 10_000, "bank 0 never quarantined");
         // la = 0 routes to bank 0; keep bank 1 idle.
-        fe.submit_batch(
+        all.extend(fe.submit_batch(
             vec![Request {
                 la: 0,
                 op: Op::Write(LineData::Mixed(writes as u32)),
@@ -385,7 +392,7 @@ fn quarantined_bank_serves_reads_and_rejects_writes() {
                 deadline_ns: Ns::MAX,
             }],
             2,
-        );
+        ));
         writes += 1;
     }
 
@@ -428,7 +435,8 @@ fn quarantined_bank_serves_reads_and_rejects_writes() {
     assert!(!done[0].touched_device(true));
     assert!(matches!(&done[1].result, Ok(s) if s.data.is_some()));
     assert!(done[2].result.is_ok());
-    assert_eq!(fe.stats().rejected_quarantine, 1);
+    all.extend(done);
+    assert_eq!(fold(&all).rejected_quarantine, 1);
 }
 
 #[test]
@@ -444,9 +452,10 @@ fn replenished_spares_lift_quarantine() {
     let sys = MultiBankSystem::with_faults(schemes, 40, TimingModel::PAPER, faults);
     let mut fe = FrontEnd::new(sys, ServeConfig::default());
     let mut writes = 0u64;
+    let mut all = Vec::new();
     while !fe.is_quarantined(0) {
         assert!(writes < 10_000, "bank 0 never quarantined");
-        fe.submit_batch(
+        all.extend(fe.submit_batch(
             vec![Request {
                 la: 0,
                 op: Op::Write(LineData::Mixed(writes as u32)),
@@ -454,7 +463,7 @@ fn replenished_spares_lift_quarantine() {
                 deadline_ns: Ns::MAX,
             }],
             2,
-        );
+        ));
         writes += 1;
     }
 
@@ -487,7 +496,8 @@ fn replenished_spares_lift_quarantine() {
     );
     assert!(done[0].result.is_ok(), "{:?}", done[0].result);
     assert!(matches!(&done[1].result, Ok(s) if s.data == Some(LineData::Mixed(424_242))));
-    assert_eq!(fe.stats().rejected_quarantine, 0);
+    all.extend(done);
+    assert_eq!(fold(&all).rejected_quarantine, 0);
 }
 
 #[test]
@@ -555,6 +565,7 @@ fn read_only_mode_sheds_writes_and_serves_reads() {
         1,
     );
     assert!(done[0].result.is_ok());
+    let mut all = done;
 
     fe.set_read_only(true);
     assert!(fe.read_only());
@@ -583,8 +594,10 @@ fn read_only_mode_sheds_writes_and_serves_reads() {
         other => panic!("read failed in read-only mode: {other:?}"),
     }
     assert!(!done[0].result.unwrap_err().touched_device());
-    assert_eq!(fe.stats().rejected_read_only, 1);
-    assert_eq!(fe.stats().rejected(), 1);
+    all.extend(done);
+    let stats = fold(&all);
+    assert_eq!(stats.rejected_read_only, 1);
+    assert_eq!(stats.rejected(), 1);
 
     // Leaving read-only restores write service.
     fe.set_read_only(false);

@@ -39,7 +39,7 @@ use std::io::Write as _;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{self, RecvTimeoutError, SyncSender, TrySendError};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -145,73 +145,31 @@ pub struct BootReport {
     pub healed_shelf_slot: bool,
 }
 
-struct SharedStats {
-    generation: AtomicU64,
-    accepted_conns: AtomicU64,
-    open_conns: AtomicU64,
-    served_reads: AtomicU64,
-    served_writes: AtomicU64,
-    retries: AtomicU64,
-    shed_queue_full: AtomicU64,
-    shed_deadline: AtomicU64,
-    shed_quarantine: AtomicU64,
-    shed_retries: AtomicU64,
-    shed_fault: AtomicU64,
-    shed_overload: AtomicU64,
-    shed_read_only: AtomicU64,
-    malformed_frames: AtomicU64,
-    draining: AtomicBool,
-}
-
-impl SharedStats {
-    fn new(generation: u64) -> Self {
-        Self {
-            generation: AtomicU64::new(generation),
-            accepted_conns: AtomicU64::new(0),
-            open_conns: AtomicU64::new(0),
-            served_reads: AtomicU64::new(0),
-            served_writes: AtomicU64::new(0),
-            retries: AtomicU64::new(0),
-            shed_queue_full: AtomicU64::new(0),
-            shed_deadline: AtomicU64::new(0),
-            shed_quarantine: AtomicU64::new(0),
-            shed_retries: AtomicU64::new(0),
-            shed_fault: AtomicU64::new(0),
-            shed_overload: AtomicU64::new(0),
-            shed_read_only: AtomicU64::new(0),
-            malformed_frames: AtomicU64::new(0),
-            draining: AtomicBool::new(false),
-        }
-    }
-
-    fn snapshot(&self) -> StatsWire {
-        let g = |a: &AtomicU64| a.load(Ordering::Relaxed);
-        StatsWire {
-            generation: g(&self.generation),
-            accepted_conns: g(&self.accepted_conns),
-            open_conns: g(&self.open_conns),
-            served_reads: g(&self.served_reads),
-            served_writes: g(&self.served_writes),
-            retries: g(&self.retries),
-            shed_queue_full: g(&self.shed_queue_full),
-            shed_deadline: g(&self.shed_deadline),
-            shed_quarantine: g(&self.shed_quarantine),
-            shed_retries: g(&self.shed_retries),
-            shed_fault: g(&self.shed_fault),
-            shed_overload: g(&self.shed_overload),
-            shed_read_only: g(&self.shed_read_only),
-            malformed_frames: g(&self.malformed_frames),
-            draining: self.draining.load(Ordering::Relaxed) as u64,
-        }
-    }
-}
-
+/// State every server thread sees. `stats` is the fold
+/// ([`StatsWire::note`]) of every response frame sent this session plus
+/// the connection gauges; its `draining` field is filled from `draining`
+/// only when a Stats reply is built.
 struct Shared {
-    stats: SharedStats,
+    stats: Mutex<StatsWire>,
     draining: AtomicBool,
     logical_lines: u64,
     idle_timeout: Duration,
     frame_timeout: Duration,
+}
+
+impl Shared {
+    fn stats(&self) -> MutexGuard<'_, StatsWire> {
+        self.stats.lock().expect("stats lock poisoned")
+    }
+
+    /// Write `frame` to `stream`, counting it first so no client ever
+    /// sees a response the counters do not yet hold.
+    fn write_frame(&self, stream: &mut Stream, scratch: &mut Vec<u8>, frame: &ResponseFrame) {
+        self.stats().note(&frame.resp);
+        scratch.clear();
+        encode_response(scratch, frame);
+        let _ = stream.write_all(scratch);
+    }
 }
 
 /// Response handed to a connection's writer thread. `engine_reply` marks
@@ -356,36 +314,19 @@ pub fn boot(
     }
 }
 
-fn reject_to_wire(rej: &Rejected, stats: &SharedStats) -> (ErrCode, u64) {
+fn reject_to_wire(rej: &Rejected) -> (ErrCode, u64) {
     match rej {
-        Rejected::QueueFull { bank, .. } => {
-            stats.shed_queue_full.fetch_add(1, Ordering::Relaxed);
-            (ErrCode::QueueFull, *bank as u64)
-        }
-        Rejected::DeadlineExceeded { bank, .. } => {
-            stats.shed_deadline.fetch_add(1, Ordering::Relaxed);
-            (ErrCode::DeadlineExceeded, *bank as u64)
-        }
-        Rejected::BankQuarantined { bank } => {
-            stats.shed_quarantine.fetch_add(1, Ordering::Relaxed);
-            (ErrCode::BankQuarantined, *bank as u64)
-        }
+        Rejected::QueueFull { bank, .. } => (ErrCode::QueueFull, *bank as u64),
+        Rejected::DeadlineExceeded { bank, .. } => (ErrCode::DeadlineExceeded, *bank as u64),
+        Rejected::BankQuarantined { bank } => (ErrCode::BankQuarantined, *bank as u64),
         Rejected::RetriesExhausted { attempts, .. } => {
-            stats.shed_retries.fetch_add(1, Ordering::Relaxed);
             (ErrCode::RetriesExhausted, *attempts as u64)
         }
-        Rejected::ReadOnly => {
-            stats.shed_read_only.fetch_add(1, Ordering::Relaxed);
-            (ErrCode::ReadOnly, 0)
-        }
+        Rejected::ReadOnly => (ErrCode::ReadOnly, 0),
         Rejected::Fault(PcmError::AddressOutOfRange { la, .. }) => {
-            stats.shed_fault.fetch_add(1, Ordering::Relaxed);
             (ErrCode::AddressOutOfRange, *la)
         }
-        Rejected::Fault(_) => {
-            stats.shed_fault.fetch_add(1, Ordering::Relaxed);
-            (ErrCode::DeviceFault, 0)
-        }
+        Rejected::Fault(_) => (ErrCode::DeviceFault, 0),
     }
 }
 
@@ -406,7 +347,6 @@ struct EngineState {
 fn engine_loop(
     mut st: EngineState,
     rx: mpsc::Receiver<EngineMsg>,
-    shared: Arc<Shared>,
     cfg: ServerConfig,
 ) -> std::io::Result<()> {
     loop {
@@ -487,30 +427,18 @@ fn engine_loop(
         for (c, m) in completions.iter().zip(&msgs) {
             let is_write = matches!(m.op, Op::Write(_));
             let resp = match (&c.result, (persist_failed || entered_read_only) && is_write) {
-                (Ok(s), false) => {
-                    if is_write {
-                        shared.stats.served_writes.fetch_add(1, Ordering::Relaxed);
-                        shared
-                            .stats
-                            .retries
-                            .fetch_add(s.retries as u64, Ordering::Relaxed);
-                        WireResponse::WriteOk {
-                            retries: s.retries,
-                            latency_ns: clamp_ns(s.latency_ns),
-                        }
-                    } else {
-                        shared.stats.served_reads.fetch_add(1, Ordering::Relaxed);
-                        WireResponse::ReadOk {
-                            data: s.data.unwrap_or(LineData::Zeros),
-                            latency_ns: clamp_ns(s.latency_ns),
-                        }
-                    }
-                }
+                (Ok(s), false) if is_write => WireResponse::WriteOk {
+                    retries: s.retries,
+                    latency_ns: clamp_ns(s.latency_ns),
+                },
+                (Ok(s), false) => WireResponse::ReadOk {
+                    data: s.data.unwrap_or(LineData::Zeros),
+                    latency_ns: clamp_ns(s.latency_ns),
+                },
                 (Ok(_), true) => {
                     // The device applied this write but durability failed:
                     // the ack is refused with the typed reason.
                     let code = if entered_read_only {
-                        shared.stats.shed_read_only.fetch_add(1, Ordering::Relaxed);
                         ErrCode::ReadOnly
                     } else {
                         ErrCode::ShuttingDown
@@ -518,7 +446,7 @@ fn engine_loop(
                     WireResponse::Err { code, aux: 0 }
                 }
                 (Err(rej), _) => {
-                    let (code, aux) = reject_to_wire(rej, &shared.stats);
+                    let (code, aux) = reject_to_wire(rej);
                     WireResponse::Err { code, aux }
                 }
             };
@@ -552,18 +480,19 @@ fn engine_loop(
     }
 }
 
-fn writer_loop(mut stream: Stream, rx: mpsc::Receiver<WriterMsg>, inflight: Arc<AtomicU64>) {
+fn writer_loop(
+    mut stream: Stream,
+    rx: mpsc::Receiver<WriterMsg>,
+    inflight: Arc<AtomicU64>,
+    shared: Arc<Shared>,
+) {
     let mut scratch = Vec::with_capacity(128);
+    // A failed write does not stop the loop: the queue keeps draining so
+    // in-flight counts still settle and every frame is still counted.
     while let Ok(msg) = rx.recv() {
-        scratch.clear();
-        encode_response(&mut scratch, &msg.frame);
-        let res = stream.write_all(&scratch);
+        shared.write_frame(&mut stream, &mut scratch, &msg.frame);
         if msg.engine_reply {
             inflight.fetch_sub(1, Ordering::AcqRel);
-        }
-        if res.is_err() {
-            // Keep draining the queue so in-flight counts still settle.
-            continue;
         }
     }
 }
@@ -575,13 +504,14 @@ fn conn_loop(stream: Stream, shared: Arc<Shared>, engine_tx: SyncSender<EngineMs
         let ws = match stream.try_clone() {
             Ok(s) => s,
             Err(_) => {
-                shared.stats.open_conns.fetch_sub(1, Ordering::Relaxed);
+                shared.stats().open_conns -= 1;
                 return;
             }
         };
         let _ = ws.set_write_timeout(Some(Duration::from_secs(5)));
         let infl = inflight.clone();
-        thread::spawn(move || writer_loop(ws, wrx, infl))
+        let shared = shared.clone();
+        thread::spawn(move || writer_loop(ws, wrx, infl, shared))
     };
 
     let _ = stream.set_read_timeout(Some(Duration::from_millis(50)));
@@ -602,10 +532,6 @@ fn conn_loop(stream: Stream, shared: Arc<Shared>, engine_tx: SyncSender<EngineMs
                 }
                 Ok(None) => break,
                 Err(e) => {
-                    shared
-                        .stats
-                        .malformed_frames
-                        .fetch_add(1, Ordering::Relaxed);
                     let _ = wtx.send(WriterMsg {
                         frame: ResponseFrame {
                             req_id: 0,
@@ -640,10 +566,8 @@ fn conn_loop(stream: Stream, shared: Arc<Shared>, engine_tx: SyncSender<EngineMs
                 if let Some(fs) = frame_start {
                     if fs.elapsed() > shared.frame_timeout {
                         // Slow-loris: a frame has been dribbling too long.
-                        shared
-                            .stats
-                            .malformed_frames
-                            .fetch_add(1, Ordering::Relaxed);
+                        // The one malformed frame that sends no response.
+                        shared.stats().malformed_frames += 1;
                         break 'conn;
                     }
                 }
@@ -663,7 +587,7 @@ fn conn_loop(stream: Stream, shared: Arc<Shared>, engine_tx: SyncSender<EngineMs
     drop(wtx);
     let _ = writer.join();
     stream.shutdown();
-    shared.stats.open_conns.fetch_sub(1, Ordering::Relaxed);
+    shared.stats().open_conns -= 1;
 }
 
 fn malformed_aux(e: crate::proto::FrameError) -> u64 {
@@ -699,7 +623,11 @@ fn dispatch(
     };
     let (la, op) = match frame.req {
         WireRequest::Ping => return direct(WireResponse::Pong),
-        WireRequest::Stats => return direct(WireResponse::StatsOk(shared.stats.snapshot())),
+        WireRequest::Stats => {
+            let mut s = *shared.stats();
+            s.draining = shared.draining.load(Ordering::Acquire) as u64;
+            return direct(WireResponse::StatsOk(s));
+        }
         WireRequest::Read { la } => (la, Op::Read),
         WireRequest::Write { la, data } => (la, Op::Write(data)),
     };
@@ -710,7 +638,6 @@ fn dispatch(
         });
     }
     if la >= shared.logical_lines {
-        shared.stats.shed_fault.fetch_add(1, Ordering::Relaxed);
         return direct(WireResponse::Err {
             code: ErrCode::AddressOutOfRange,
             aux: la,
@@ -726,7 +653,6 @@ fn dispatch(
         Ok(()) => true,
         Err(TrySendError::Full(_)) => {
             inflight.fetch_sub(1, Ordering::AcqRel);
-            shared.stats.shed_overload.fetch_add(1, Ordering::Relaxed);
             direct(WireResponse::Err {
                 code: ErrCode::Overloaded,
                 aux: 0,
@@ -765,7 +691,10 @@ pub fn run(cfg: ServerConfig) -> std::io::Result<i32> {
     let _ = std::io::stdout().flush();
 
     let shared = Arc::new(Shared {
-        stats: SharedStats::new(boot_report.generation),
+        stats: Mutex::new(StatsWire {
+            generation: boot_report.generation,
+            ..StatsWire::default()
+        }),
         draining: AtomicBool::new(false),
         logical_lines,
         idle_timeout: cfg.idle_timeout,
@@ -782,21 +711,24 @@ pub fn run(cfg: ServerConfig) -> std::io::Result<i32> {
             save_seq: boot_report.save_seq,
             read_only: false,
         };
-        let shared = shared.clone();
         let cfg = cfg.clone();
-        thread::spawn(move || engine_loop(st, erx, shared, cfg))
+        thread::spawn(move || engine_loop(st, erx, cfg))
     };
 
     while !os::shutdown_requested() {
         match listener.accept() {
             Ok(stream) => {
-                shared.stats.accepted_conns.fetch_add(1, Ordering::Relaxed);
-                if shared.stats.open_conns.load(Ordering::Relaxed) >= cfg.max_conns as u64 {
-                    shared.stats.shed_overload.fetch_add(1, Ordering::Relaxed);
-                    refuse_overloaded(stream);
+                let admitted = {
+                    let mut s = shared.stats();
+                    s.accepted_conns += 1;
+                    let admitted = s.open_conns < cfg.max_conns as u64;
+                    s.open_conns += admitted as u64;
+                    admitted
+                };
+                if !admitted {
+                    refuse_overloaded(stream, &shared);
                     continue;
                 }
-                shared.stats.open_conns.fetch_add(1, Ordering::Relaxed);
                 let shared = shared.clone();
                 let etx = etx.clone();
                 thread::spawn(move || conn_loop(stream, shared, etx));
@@ -811,14 +743,13 @@ pub fn run(cfg: ServerConfig) -> std::io::Result<i32> {
     // Graceful drain: stop accepting, flip the drain flag, release our
     // engine sender, and wait for the engine's finale.
     shared.draining.store(true, Ordering::Release);
-    shared.stats.draining.store(true, Ordering::Relaxed);
     drop(listener);
     drop(etx);
     let res = engine
         .join()
         .map_err(|_| std::io::Error::other("engine thread panicked"))?;
     res?;
-    let s = shared.stats.snapshot();
+    let s = *shared.stats();
     println!(
         "srbsg-server drained: served_reads={} served_writes={} shed_overload={} malformed_frames={}",
         s.served_reads, s.served_writes, s.shed_overload, s.malformed_frames
@@ -826,21 +757,16 @@ pub fn run(cfg: ServerConfig) -> std::io::Result<i32> {
     Ok(0)
 }
 
-fn refuse_overloaded(stream: Stream) {
-    let mut stream = stream;
+fn refuse_overloaded(mut stream: Stream, shared: &Shared) {
     let _ = stream.set_write_timeout(Some(Duration::from_millis(500)));
-    let mut buf = Vec::with_capacity(64);
-    encode_response(
-        &mut buf,
-        &ResponseFrame {
-            req_id: 0,
-            resp: WireResponse::Err {
-                code: ErrCode::Overloaded,
-                aux: 0,
-            },
+    let frame = ResponseFrame {
+        req_id: 0,
+        resp: WireResponse::Err {
+            code: ErrCode::Overloaded,
+            aux: 0,
         },
-    );
-    let _ = stream.write_all(&buf);
+    };
+    shared.write_frame(&mut stream, &mut Vec::with_capacity(64), &frame);
     stream.shutdown();
 }
 

@@ -243,6 +243,32 @@ pub struct StatsWire {
 impl StatsWire {
     const FIELDS: usize = 15;
 
+    /// Fold one sent response into the served, shed, retries and
+    /// malformed counters. The server's counters are exactly this fold
+    /// over every response frame it sends.
+    pub fn note(&mut self, resp: &WireResponse) {
+        let counter = match resp {
+            WireResponse::ReadOk { .. } => &mut self.served_reads,
+            WireResponse::WriteOk { retries, .. } => {
+                self.retries += *retries as u64;
+                &mut self.served_writes
+            }
+            WireResponse::Pong | WireResponse::StatsOk(_) => return,
+            WireResponse::Err { code, .. } => match code {
+                ErrCode::QueueFull => &mut self.shed_queue_full,
+                ErrCode::DeadlineExceeded => &mut self.shed_deadline,
+                ErrCode::BankQuarantined => &mut self.shed_quarantine,
+                ErrCode::RetriesExhausted => &mut self.shed_retries,
+                ErrCode::ReadOnly => &mut self.shed_read_only,
+                ErrCode::DeviceFault | ErrCode::AddressOutOfRange => &mut self.shed_fault,
+                ErrCode::Overloaded => &mut self.shed_overload,
+                ErrCode::BadFrame => &mut self.malformed_frames,
+                ErrCode::ShuttingDown => return,
+            },
+        };
+        *counter += 1;
+    }
+
     fn encode(&self, enc: &mut Enc) {
         for v in [
             self.generation,
@@ -772,5 +798,62 @@ mod tests {
         let mut r = FrameReader::new();
         r.extend(&buf);
         assert!(matches!(r.next_request(), Err(FrameError::BadOpcode(_))));
+    }
+
+    #[test]
+    fn note_moves_exactly_the_listed_counter() {
+        type Field = fn(&mut StatsWire) -> &mut u64;
+        let errs: [(ErrCode, Option<Field>); 10] = [
+            (ErrCode::QueueFull, Some(|s| &mut s.shed_queue_full)),
+            (ErrCode::DeadlineExceeded, Some(|s| &mut s.shed_deadline)),
+            (ErrCode::BankQuarantined, Some(|s| &mut s.shed_quarantine)),
+            (ErrCode::RetriesExhausted, Some(|s| &mut s.shed_retries)),
+            (ErrCode::DeviceFault, Some(|s| &mut s.shed_fault)),
+            (ErrCode::AddressOutOfRange, Some(|s| &mut s.shed_fault)),
+            (ErrCode::Overloaded, Some(|s| &mut s.shed_overload)),
+            (ErrCode::ShuttingDown, None),
+            (ErrCode::BadFrame, Some(|s| &mut s.malformed_frames)),
+            (ErrCode::ReadOnly, Some(|s| &mut s.shed_read_only)),
+        ];
+        // The table covers every code the wire can carry.
+        let decodable: Vec<ErrCode> = (0..=u8::MAX)
+            .filter_map(|v| ErrCode::try_from(v).ok())
+            .collect();
+        assert_eq!(errs.map(|(c, _)| c).to_vec(), decodable);
+
+        let read = WireResponse::ReadOk {
+            data: LineData::Ones,
+            latency_ns: 9,
+        };
+        let write = WireResponse::WriteOk {
+            retries: 3,
+            latency_ns: 9,
+        };
+        let served: [(WireResponse, Vec<(Field, u64)>); 4] = [
+            (read, vec![(|s| &mut s.served_reads, 1)]),
+            (
+                write,
+                vec![(|s| &mut s.served_writes, 1), (|s| &mut s.retries, 3)],
+            ),
+            (WireResponse::Pong, vec![]),
+            (WireResponse::StatsOk(StatsWire::default()), vec![]),
+        ];
+        let cases = errs
+            .into_iter()
+            .map(|(code, f)| {
+                (
+                    WireResponse::Err { code, aux: 7 },
+                    f.map(|f| (f, 1)).into_iter().collect(),
+                )
+            })
+            .chain(served);
+        for (resp, moved) in cases {
+            let mut got = StatsWire::default();
+            got.note(&resp);
+            for (f, by) in moved {
+                assert_eq!(std::mem::take(f(&mut got)), by, "{resp:?}");
+            }
+            assert_eq!(got, StatsWire::default(), "{resp:?} moved another counter");
+        }
     }
 }

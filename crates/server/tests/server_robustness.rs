@@ -2,16 +2,19 @@
 //! *real* server process produces a typed error response (where framing
 //! permits) and a clean connection close — never a server death — and the
 //! slow-loris/idle timeouts and out-of-range shedding behave as
-//! documented.
+//! documented, and the Stats counters account for exactly the responses
+//! sent.
 
 use std::io::{Read, Write};
 use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
 
+use srbsg_pcm::LineData;
 use srbsg_persist::crc64;
 use srbsg_server::{
-    encode_request, os, Client, Endpoint, ErrCode, RequestFrame, WireRequest, WireResponse,
+    encode_request, os, Client, Endpoint, ErrCode, RequestFrame, StatsWire, WireRequest,
+    WireResponse,
 };
 
 struct TestServer {
@@ -237,5 +240,75 @@ fn out_of_range_addresses_are_typed_rejections() {
     }
     // The connection stays usable after a typed rejection.
     c.ping().expect("ping after rejection");
+    server.stop();
+}
+
+#[test]
+fn wire_counters_are_exactly_the_fold_of_sent_responses() {
+    let server = TestServer::start("acct");
+    // Two clients pipeline reads, writes, pings and out-of-range requests
+    // concurrently, so the engine batches across connections.
+    let clients: Vec<_> = (0..2u64)
+        .map(|t| {
+            let mut c = server.client();
+            std::thread::spawn(move || {
+                let mut buf = Vec::new();
+                let reqs: Vec<WireRequest> = (0..60u64)
+                    .map(|i| match i % 6 {
+                        0 | 1 => WireRequest::Write {
+                            la: (i + t) % 64,
+                            data: LineData::Mixed((i * 10 + t) as u32),
+                        },
+                        2 | 3 => WireRequest::Read { la: (i + t) % 64 },
+                        4 => WireRequest::Ping,
+                        _ if i % 12 == 5 => WireRequest::Read { la: 64 + i },
+                        _ => WireRequest::Write {
+                            la: 1 << 40,
+                            data: LineData::Ones,
+                        },
+                    })
+                    .collect();
+                for (req_id, &req) in reqs.iter().enumerate() {
+                    let frame = RequestFrame {
+                        req_id: req_id as u64,
+                        req,
+                    };
+                    encode_request(&mut buf, &frame);
+                }
+                c.send_raw(&buf).expect("send");
+                (0..reqs.len())
+                    .map(|_| c.recv().expect("response").resp)
+                    .collect::<Vec<_>>()
+            })
+        })
+        .collect();
+    let mut sent: Vec<WireResponse> = clients
+        .into_iter()
+        .flat_map(|h| h.join().expect("client thread"))
+        .collect();
+
+    // A malformed frame: answered with BadFrame, then the close.
+    let mut bad = server.client();
+    bad.send_raw(&u32::MAX.to_le_bytes()).expect("send");
+    sent.push(bad.recv().expect("BadFrame response").resp);
+
+    let mut want = StatsWire::default();
+    for resp in &sent {
+        want.note(resp);
+    }
+    assert!(want.served_reads > 0 && want.served_writes > 0 && want.shed_fault > 0);
+    assert_eq!(want.malformed_frames, 1);
+
+    // Every received response was counted before it was written, so the
+    // counters equal the fold exactly; only the gauges are the server's.
+    let got = server.client().stats().expect("stats");
+    let want = StatsWire {
+        generation: got.generation,
+        accepted_conns: got.accepted_conns,
+        open_conns: got.open_conns,
+        draining: got.draining,
+        ..want
+    };
+    assert_eq!(got, want);
     server.stop();
 }
