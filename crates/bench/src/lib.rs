@@ -1,7 +1,7 @@
 //! Criterion benchmark crate for the Security RBSG reproduction.
 //!
-//! Three suites live under `benches/`:
-//! * `mapping` — per-access costs of the randomizers, translations, and
-//!   remap-step primitives;
-//! * `figures` — one scaled-down pipeline per paper table/figure;
-//! * `system` — controller write-path and perf-model throughput.
+//! Three suites live under `benches/`, each recording a `BENCH_*.json`
+//! summary and run by CI:
+//! * `feistel` — scalar vs lane-parallel Feistel translation throughput;
+//! * `sharded` — the bank-sharded trace runner across worker counts;
+//! * `raa_split` — the RAA lifetime round engine across worker counts.

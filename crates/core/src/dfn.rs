@@ -26,7 +26,11 @@
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use srbsg_feistel::{AddressPermutation, FeistelNetwork};
+use srbsg_pcm::MIN_LANE_BATCH;
 use srbsg_persist::{expect_tag, tags, Dec, Enc, MetadataState, PersistError};
+
+// The short-batch threshold is one Feistel lane chunk.
+const _: () = assert!(MIN_LANE_BATCH == srbsg_feistel::LANES);
 
 /// Where a logical line currently lives in the intermediate address space.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -209,7 +213,9 @@ impl DfnMapping {
     /// circuits to [`IaSlot::Spare`]), each sub-batch runs through
     /// [`FeistelNetwork::encrypt_batch`], and the images are scattered
     /// back in original order. `out` is cleared and refilled with one slot
-    /// per input address.
+    /// per input address. A batch shorter than [`MIN_LANE_BATCH`] never
+    /// fills a lane chunk, so it runs the scalar translation and allocates
+    /// nothing beyond `out`.
     ///
     /// # Panics
     /// Panics if any address is out of range, like
@@ -217,6 +223,10 @@ impl DfnMapping {
     /// translation work.
     pub fn translate_batch(&self, las: &[u64], out: &mut Vec<IaSlot>) {
         out.clear();
+        if las.len() < MIN_LANE_BATCH {
+            out.extend(las.iter().map(|&la| self.translate(la)));
+            return;
+        }
         out.resize(las.len(), IaSlot::Spare);
         let mut kc = Vec::new();
         let mut kc_pos: Vec<u32> = Vec::new();

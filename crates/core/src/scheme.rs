@@ -1,6 +1,6 @@
 //! The Security RBSG wear-leveling scheme (paper §IV).
 
-use srbsg_pcm::{ApplySink, LineAddr, Ns, PcmBank, PhysOp, StepSink, WearLeveler};
+use srbsg_pcm::{ApplySink, LineAddr, Ns, PcmBank, PhysOp, StepSink, WearLeveler, MIN_LANE_BATCH};
 use srbsg_persist::{expect_tag, tags, Dec, Enc, JournaledScheme, MetadataState, PersistError};
 use srbsg_wearlevel::GapMapping;
 
@@ -76,6 +76,9 @@ pub struct SecurityRbsg {
     inner_interval: u64,
     lines: u64,
     region_lines: u64,
+    /// `log2(region_lines)`: `R` divides `2^width`, so `N/R` is a power of
+    /// two and an IA splits into region and offset by shift and mask.
+    region_shift: u32,
 }
 
 impl SecurityRbsg {
@@ -89,6 +92,7 @@ impl SecurityRbsg {
         assert!(cfg.inner_interval >= 1 && cfg.outer_interval >= 1);
         let region_lines = lines / cfg.sub_regions;
         Self {
+            region_shift: region_lines.trailing_zeros(),
             dfn: DfnMapping::new(cfg.width, cfg.stages, cfg.seed),
             outer_counter: 0,
             outer_interval: cfg.outer_interval,
@@ -138,11 +142,17 @@ impl SecurityRbsg {
         r * (self.region_lines + 1)
     }
 
+    /// The sub-region an intermediate address lies in.
+    #[inline]
+    fn region_of(&self, ia: u64) -> usize {
+        (ia >> self.region_shift) as usize
+    }
+
     /// Map an intermediate address through the inner Start-Gap level.
     #[inline]
     fn inner_translate(&self, ia: u64) -> u64 {
-        let r = ia / self.region_lines;
-        self.region_base(r) + self.inner[r as usize].translate(ia % self.region_lines)
+        let r = self.region_of(ia);
+        self.region_base(r as u64) + self.inner[r].translate(ia & (self.region_lines - 1))
     }
 
     /// Resolve a DFN slot (line or spare) to a physical slot.
@@ -176,7 +186,18 @@ impl SecurityRbsg {
         }]
     }
 
-    fn step_if_due(&mut self, la: LineAddr, bank: &mut PcmBank, sink: &mut dyn StepSink) -> Ns {
+    /// Count one demand write, perform the outer and inner movements it
+    /// makes due, and return their latency and the write's post-movement
+    /// physical slot. The write's IA slot is resolved once, after the outer
+    /// movement, and serves both the inner count and the returned slot (an
+    /// inner movement changes only the gap of its own region, which the
+    /// final resolve reads).
+    fn step_if_due(
+        &mut self,
+        la: LineAddr,
+        bank: &mut PcmBank,
+        sink: &mut dyn StepSink,
+    ) -> (Ns, LineAddr) {
         let mut latency = 0;
         // Outer level: one DFN movement per ψ_out demand writes.
         self.outer_counter += 1;
@@ -188,8 +209,9 @@ impl SecurityRbsg {
         // Inner level: count the write against the sub-region its IA lands
         // in (post-outer-movement). Writes to the parked line live in the
         // spare and bypass the inner level.
-        if let IaSlot::Line(ia) = self.dfn.translate(la) {
-            let r = (ia / self.region_lines) as usize;
+        let slot = self.dfn.translate(la);
+        if let IaSlot::Line(ia) = slot {
+            let r = self.region_of(ia);
             self.inner_counters[r] += 1;
             if self.inner_counters[r] >= self.inner_interval {
                 self.inner_counters[r] = 0;
@@ -197,7 +219,7 @@ impl SecurityRbsg {
                 latency += sink.commit(bank, &(1 + r as u32).to_le_bytes(), &ops);
             }
         }
-        latency
+        (latency, self.resolve(slot))
     }
 }
 
@@ -218,15 +240,19 @@ impl WearLeveler for SecurityRbsg {
     }
 
     fn translate_batch(&self, las: &[LineAddr], out: &mut Vec<LineAddr>) {
+        out.clear();
+        if las.len() < MIN_LANE_BATCH {
+            out.extend(las.iter().map(|&la| self.translate(la)));
+            return;
+        }
         // Outer DFN level runs lane-parallel; the inner Start-Gap hop is
         // pure arithmetic and stays scalar.
         let mut slots = Vec::with_capacity(las.len());
         self.dfn.translate_batch(las, &mut slots);
-        out.clear();
         out.extend(slots.iter().map(|&s| self.resolve(s)));
     }
 
-    fn before_write(&mut self, la: LineAddr, bank: &mut PcmBank) -> Ns {
+    fn before_write(&mut self, la: LineAddr, bank: &mut PcmBank) -> (Ns, LineAddr) {
         self.step_if_due(la, bank, &mut ApplySink)
     }
 
@@ -235,7 +261,7 @@ impl WearLeveler for SecurityRbsg {
         match self.dfn.translate(la) {
             IaSlot::Spare => outer_left,
             IaSlot::Line(ia) => {
-                let r = (ia / self.region_lines) as usize;
+                let r = self.region_of(ia);
                 let inner_left = self.inner_interval - 1 - self.inner_counters[r];
                 outer_left.min(inner_left)
             }
@@ -246,7 +272,7 @@ impl WearLeveler for SecurityRbsg {
         self.outer_counter += k;
         debug_assert!(self.outer_counter < self.outer_interval);
         if let IaSlot::Line(ia) = self.dfn.translate(la) {
-            let r = (ia / self.region_lines) as usize;
+            let r = self.region_of(ia);
             self.inner_counters[r] += k;
             debug_assert!(self.inner_counters[r] < self.inner_interval);
         }
@@ -315,6 +341,7 @@ impl MetadataState for SecurityRbsg {
             inner_counters.push(c);
         }
         Ok(Self {
+            region_shift: region_lines.trailing_zeros(),
             dfn,
             outer_counter,
             outer_interval,
@@ -333,7 +360,7 @@ impl JournaledScheme for SecurityRbsg {
         la: LineAddr,
         bank: &mut PcmBank,
         sink: &mut dyn StepSink,
-    ) -> Ns {
+    ) -> (Ns, LineAddr) {
         self.step_if_due(la, bank, sink)
     }
 

@@ -171,8 +171,10 @@ pub struct FeistelNetwork {
 /// per variable: wide enough to auto-vectorize the cubing round AND keep
 /// four independent multiply chains in flight per stage, which matters
 /// because the two dependent `vpmulld`s of one cube otherwise leave the
-/// multiplier idle for their full latency.
-const LANES: usize = 64;
+/// multiplier idle for their full latency. A batch shorter than one chunk
+/// gains nothing from the kernels; `srbsg_pcm::MIN_LANE_BATCH` mirrors
+/// this value so callers can route such batches to the scalar path.
+pub const LANES: usize = 64;
 
 impl FeistelNetwork {
     /// The even internal width a `width`-bit network runs through its

@@ -150,8 +150,8 @@ mod tests {
         fn translate(&self, la: LineAddr) -> LineAddr {
             la
         }
-        fn before_write(&mut self, _la: LineAddr, _b: &mut crate::PcmBank) -> Ns {
-            0
+        fn before_write(&mut self, la: LineAddr, _b: &mut crate::PcmBank) -> (Ns, LineAddr) {
+            (0, la)
         }
         fn writes_until_remap(&self, _la: LineAddr) -> u64 {
             u64::MAX

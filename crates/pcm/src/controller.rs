@@ -3,7 +3,7 @@
 
 use crate::{
     DegradationReport, FaultConfig, FaultStats, LineAddr, LineData, Ns, PcmBank, PcmError,
-    TimingModel, WearLeveler,
+    TimingModel, WearLeveler, MIN_LANE_BATCH,
 };
 
 /// Outcome of one demand write, as observable by software.
@@ -189,9 +189,8 @@ impl<W: WearLeveler> MemoryController<W> {
     }
 
     fn write_unchecked(&mut self, la: LineAddr, data: LineData) -> WriteResponse {
-        let mut latency = self.bank.timing().translation_ns as Ns;
-        latency += self.wl.before_write(la, &mut self.bank);
-        let slot = self.wl.translate(la);
+        let (remap, slot) = self.wl.before_write(la, &mut self.bank);
+        let mut latency = self.bank.timing().translation_ns as Ns + remap;
         latency += self.bank.write_line(slot, data);
         self.demand_writes += 1;
         self.now += latency;
@@ -232,24 +231,25 @@ impl<W: WearLeveler> MemoryController<W> {
     /// `hook` instead of [`WearLeveler::before_write`].
     ///
     /// The hook receives the scheme and the bank and returns the remap
-    /// latency to charge — or an error, in which case the demand write is
-    /// **aborted**: no line is written, the clock does not advance, and the
-    /// demand-write count is untouched. Movements the hook already applied
-    /// to the bank stand (a crash mid-remap leaves exactly the device state
-    /// it crashed with). This is the entry point `srbsg-persist` uses to
-    /// route remap steps through a write-ahead journal with power-failure
-    /// injection: a [`PcmError::PowerLost`] from the hook models the machine
-    /// dying before the request could be acknowledged.
+    /// latency to charge and the slot the write lands on, as
+    /// [`WearLeveler::before_write`] does — or an error, in which case the
+    /// demand write is **aborted**: no line is written, the clock does not
+    /// advance, and the demand-write count is untouched. Movements the hook
+    /// already applied to the bank stand (a crash mid-remap leaves exactly
+    /// the device state it crashed with). This is the entry point
+    /// `srbsg-persist` uses to route remap steps through a write-ahead
+    /// journal with power-failure injection: a [`PcmError::PowerLost`] from
+    /// the hook models the machine dying before the request could be
+    /// acknowledged.
     pub fn try_write_with(
         &mut self,
         la: LineAddr,
         data: LineData,
-        hook: impl FnOnce(&mut W, &mut PcmBank) -> Result<Ns, PcmError>,
+        hook: impl FnOnce(&mut W, &mut PcmBank) -> Result<(Ns, LineAddr), PcmError>,
     ) -> Result<WriteResponse, PcmError> {
         self.check_la(la)?;
-        let mut latency = self.bank.timing().translation_ns as Ns;
-        latency += hook(&mut self.wl, &mut self.bank)?;
-        let slot = self.wl.translate(la);
+        let (remap, slot) = hook(&mut self.wl, &mut self.bank)?;
+        let mut latency = self.bank.timing().translation_ns as Ns + remap;
         latency += self.bank.write_line(slot, data);
         self.demand_writes += 1;
         self.now += latency;
@@ -284,7 +284,9 @@ impl<W: WearLeveler> MemoryController<W> {
     /// is equivalent because reads never mutate the mapping and latency
     /// sums are associative. The one observable difference from the
     /// scalar loop: an out-of-range address anywhere in the batch rejects
-    /// the *whole* batch before any read is serviced.
+    /// the *whole* batch before any read is serviced. A batch shorter than
+    /// [`MIN_LANE_BATCH`] translates each address with the scalar
+    /// [`WearLeveler::translate`] and allocates nothing beyond `out`.
     pub fn try_read_batch(
         &mut self,
         las: &[LineAddr],
@@ -293,20 +295,32 @@ impl<W: WearLeveler> MemoryController<W> {
         for &la in las {
             self.check_la(la)?;
         }
-        let mut slots = Vec::with_capacity(las.len());
-        self.wl.translate_batch(las, &mut slots);
-        let translation = self.bank.timing().translation_ns as Ns;
-        let mut total = 0;
         out.clear();
-        out.reserve(slots.len());
-        for &slot in &slots {
-            let (data, mut latency) = self.bank.read_line_timed(slot);
-            latency += translation;
-            total += latency;
-            out.push((data, latency));
+        out.reserve(las.len());
+        let mut total = 0;
+        if las.len() < MIN_LANE_BATCH {
+            for &la in las {
+                total += self.read_slot(self.wl.translate(la), out);
+            }
+        } else {
+            let mut slots = Vec::with_capacity(las.len());
+            self.wl.translate_batch(las, &mut slots);
+            for &slot in &slots {
+                total += self.read_slot(slot, out);
+            }
         }
         self.now += total;
         Ok(total)
+    }
+
+    /// Read `slot` for a batch, pushing its `(data, latency)` onto `out`
+    /// and returning the latency; the clock is the caller's to advance.
+    #[inline]
+    fn read_slot(&self, slot: LineAddr, out: &mut Vec<(LineData, Ns)>) -> Ns {
+        let (data, latency) = self.bank.read_line_timed(slot);
+        let latency = latency + self.bank.timing().translation_ns as Ns;
+        out.push((data, latency));
+        latency
     }
 
     /// Service a batch of demand reads. Panics on an out-of-range
@@ -485,10 +499,10 @@ mod tests {
                 pa
             }
         }
-        fn before_write(&mut self, _la: LineAddr, bank: &mut PcmBank) -> Ns {
+        fn before_write(&mut self, la: LineAddr, bank: &mut PcmBank) -> (Ns, LineAddr) {
             self.counter += 1;
             if self.counter < self.interval {
-                return 0;
+                return (0, self.translate(la));
             }
             self.counter = 0;
             let slots = self.lines + 1;
@@ -498,7 +512,7 @@ mod tests {
             if self.gap == self.lines {
                 self.start = (self.start + 1) % self.lines;
             }
-            lat
+            (lat, self.translate(la))
         }
         fn writes_until_remap(&self, _la: LineAddr) -> u64 {
             self.interval - 1 - self.counter

@@ -50,6 +50,14 @@ pub type LineAddr = u64;
 /// Simulated time in nanoseconds.
 pub type Ns = u128;
 
+/// Shortest batch that runs through a lane-parallel translation kernel:
+/// one lane chunk of the Feistel batch kernels (`srbsg_feistel::LANES`).
+/// A shorter batch never fills a chunk, so the lane-parallel
+/// [`WearLeveler::translate_batch`] overrides and
+/// [`MemoryController::try_read_batch`] serve it with the scalar
+/// translation and allocate nothing beyond their output.
+pub const MIN_LANE_BATCH: usize = 64;
+
 /// Contents of one memory line, represented compactly.
 ///
 /// The attacks in the paper only ever write ALL-0 or ALL-1 patterns (the two
@@ -159,11 +167,14 @@ pub trait WearLeveler {
 
     /// Account one demand write to `la` and perform any remap movement that
     /// becomes due, returning the extra latency those movements impose on
-    /// this request. Called *before* the demand write is serviced, so the
-    /// write observes the post-movement mapping (paper §III: “remapping
-    /// halts other requests … incurs extra latency to the request which
-    /// happens just following the remapping”).
-    fn before_write(&mut self, la: LineAddr, bank: &mut PcmBank) -> Ns;
+    /// this request and the physical slot the demand write lands on. Called
+    /// *before* the demand write is serviced, so the write observes the
+    /// post-movement mapping (paper §III: “remapping halts other requests …
+    /// incurs extra latency to the request which happens just following the
+    /// remapping”): the returned slot equals `translate(la)` right after
+    /// the call. Returning it lets a scheme resolve the address once per
+    /// write instead of once for the step and again for the write.
+    fn before_write(&mut self, la: LineAddr, bank: &mut PcmBank) -> (Ns, LineAddr);
 
     /// Number of further demand writes to `la` that are guaranteed *not* to
     /// trigger any remap movement (used by `write_repeat` batching). A
@@ -173,7 +184,8 @@ pub trait WearLeveler {
     /// Account `k` demand writes to `la` in one step, where `k` does not
     /// exceed the quiet window reported by
     /// [`WearLeveler::writes_until_remap`]. Must be observably equivalent to
-    /// `k` calls to [`WearLeveler::before_write`] that all return 0.
+    /// `k` calls to [`WearLeveler::before_write`] that all return zero
+    /// latency.
     fn note_quiet_writes(&mut self, la: LineAddr, k: u64);
 
     /// Number of logical lines exposed to software.
@@ -197,7 +209,7 @@ impl<W: WearLeveler + ?Sized> WearLeveler for Box<W> {
     fn translate_batch(&self, las: &[LineAddr], out: &mut Vec<LineAddr>) {
         (**self).translate_batch(las, out)
     }
-    fn before_write(&mut self, la: LineAddr, bank: &mut PcmBank) -> Ns {
+    fn before_write(&mut self, la: LineAddr, bank: &mut PcmBank) -> (Ns, LineAddr) {
         (**self).before_write(la, bank)
     }
     fn writes_until_remap(&self, la: LineAddr) -> u64 {

@@ -353,10 +353,10 @@ mod tests {
                 pa
             }
         }
-        fn before_write(&mut self, _la: LineAddr, bank: &mut crate::PcmBank) -> Ns {
+        fn before_write(&mut self, la: LineAddr, bank: &mut crate::PcmBank) -> (Ns, LineAddr) {
             self.counter += 1;
             if self.counter < self.interval {
-                return 0;
+                return (0, self.translate(la));
             }
             self.counter = 0;
             self.moves += 1;
@@ -367,7 +367,7 @@ mod tests {
             if self.gap == self.lines {
                 self.start = (self.start + 1) % self.lines;
             }
-            lat
+            (lat, self.translate(la))
         }
         fn writes_until_remap(&self, _la: LineAddr) -> u64 {
             self.interval - 1 - self.counter

@@ -75,10 +75,10 @@ impl WearLeveler for Gap {
             pa
         }
     }
-    fn before_write(&mut self, _la: LineAddr, bank: &mut PcmBank) -> Ns {
+    fn before_write(&mut self, la: LineAddr, bank: &mut PcmBank) -> (Ns, LineAddr) {
         self.counter += 1;
         if self.counter < self.interval {
-            return 0;
+            return (0, self.translate(la));
         }
         self.counter = 0;
         let slots = self.lines + 1;
@@ -88,7 +88,7 @@ impl WearLeveler for Gap {
         if self.gap == self.lines {
             self.start = (self.start + 1) % self.lines;
         }
-        lat
+        (lat, self.translate(la))
     }
     fn writes_until_remap(&self, _la: LineAddr) -> u64 {
         self.interval - 1 - self.counter

@@ -112,13 +112,14 @@ impl CheckpointPolicy {
 /// silently absorbed.
 pub trait JournaledScheme: WearLeveler + MetadataState {
     /// Like [`WearLeveler::before_write`], but any step that fires is
-    /// committed through `sink` instead of applied directly.
+    /// committed through `sink` instead of applied directly. Returns the
+    /// remap latency and the slot the demand write lands on.
     fn before_write_logged(
         &mut self,
         la: LineAddr,
         bank: &mut PcmBank,
         sink: &mut dyn StepSink,
-    ) -> Ns;
+    ) -> (Ns, LineAddr);
 
     /// Re-execute the metadata transition identified by a recorded step
     /// `payload`, returning the physical operations it implies.
@@ -496,7 +497,7 @@ impl<W: JournaledScheme> WearLeveler for Journaled<W> {
     fn translate_batch(&self, las: &[LineAddr], out: &mut Vec<LineAddr>) {
         self.scheme.translate_batch(las, out)
     }
-    fn before_write(&mut self, la: LineAddr, bank: &mut PcmBank) -> Ns {
+    fn before_write(&mut self, la: LineAddr, bank: &mut PcmBank) -> (Ns, LineAddr) {
         // Crash-armed runs must go through `write_crashable`, which aborts
         // the demand write when the plan fires; the plain path is for
         // crash-free operation (journaling only), where a checkpoint
@@ -505,11 +506,13 @@ impl<W: JournaledScheme> WearLeveler for Journaled<W> {
             self.persistor.powered(),
             "before_write on a crashed Journaled wrapper"
         );
-        let ns = self
+        // A checkpoint snapshots the metadata without moving it, so the
+        // slot the step resolved stays valid.
+        let stepped = self
             .scheme
             .before_write_logged(la, bank, &mut self.persistor);
         let _ = self.maybe_checkpoint();
-        ns
+        stepped
     }
     fn writes_until_remap(&self, la: LineAddr) -> u64 {
         self.scheme.writes_until_remap(la)
@@ -548,14 +551,14 @@ pub fn write_crashable<W: JournaledScheme>(
         if jw.persistor.poll_pre_write() {
             return Err(PcmError::PowerLost);
         }
-        let latency = jw.scheme.before_write_logged(la, bank, &mut jw.persistor);
+        let stepped = jw.scheme.before_write_logged(la, bank, &mut jw.persistor);
         if !jw.persistor.powered() {
             return Err(PcmError::PowerLost);
         }
         if jw.maybe_checkpoint().is_err() {
             return Err(PcmError::PowerLost);
         }
-        Ok(latency)
+        Ok(stepped)
     })
 }
 

@@ -245,19 +245,22 @@ impl WearLeveler for AdaptiveRbsg {
         self.inner.translate(la)
     }
 
-    fn before_write(&mut self, la: LineAddr, bank: &mut PcmBank) -> Ns {
+    fn before_write(&mut self, la: LineAddr, bank: &mut PcmBank) -> (Ns, LineAddr) {
         let alarmed = self.detector.observe(la);
-        let mut latency = self.inner.before_write(la, bank);
+        let (mut latency, mut slot) = self.inner.before_write(la, bank);
         if alarmed {
             // Boost: perform boost-1 additional counter advances so the
-            // region remaps boost× as often while under alarm.
+            // region remaps boost× as often while under alarm. The last
+            // advance's slot is the one the write lands on.
             self.credit += self.boost - 1;
             while self.credit > 0 {
                 self.credit -= 1;
-                latency += self.inner.before_write(la, bank);
+                let (ns, s) = self.inner.before_write(la, bank);
+                latency += ns;
+                slot = s;
             }
         }
-        latency
+        (latency, slot)
     }
 
     fn writes_until_remap(&self, la: LineAddr) -> u64 {
@@ -335,17 +338,19 @@ impl JournaledScheme for AdaptiveRbsg {
         la: LineAddr,
         bank: &mut PcmBank,
         sink: &mut dyn StepSink,
-    ) -> Ns {
+    ) -> (Ns, LineAddr) {
         let alarmed = self.detector.observe(la);
-        let mut latency = self.inner.before_write_logged(la, bank, sink);
+        let (mut latency, mut slot) = self.inner.before_write_logged(la, bank, sink);
         if alarmed {
             self.credit += self.boost - 1;
             while self.credit > 0 {
                 self.credit -= 1;
-                latency += self.inner.before_write_logged(la, bank, sink);
+                let (ns, s) = self.inner.before_write_logged(la, bank, sink);
+                latency += ns;
+                slot = s;
             }
         }
-        latency
+        (latency, slot)
     }
 
     fn replay_step(&mut self, payload: &[u8]) -> Result<Vec<PhysOp>, PersistError> {

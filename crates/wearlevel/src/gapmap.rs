@@ -62,10 +62,17 @@ impl GapMapping {
     }
 
     /// Map a logical index (`0..lines`) to its slot (`0..=lines`).
+    ///
+    /// `(idx + start) mod lines` is a conditional subtract: both terms are
+    /// below `lines` (`start` by construction and by `decode_state`), so
+    /// their sum is below `2·lines`.
     #[inline]
     pub fn translate(&self, idx: u64) -> u64 {
-        debug_assert!(idx < self.lines);
-        let pa = (idx + self.start) % self.lines;
+        debug_assert!(idx < self.lines && self.start < self.lines);
+        let mut pa = idx + self.start;
+        if pa >= self.lines {
+            pa -= self.lines;
+        }
         if pa >= self.gap {
             pa + 1
         } else {
@@ -198,6 +205,25 @@ mod tests {
                 assert_eq!(after[i], (before[i] + 1) % (lines + 1));
             }
             before = after;
+        }
+    }
+
+    #[test]
+    fn translate_equals_the_modulo_formula_in_every_reached_state() {
+        for lines in (1..=9).chain([128]) {
+            let mut m = GapMapping::new(lines);
+            for step in 0..=lines * (lines + 1) {
+                for idx in 0..lines {
+                    let pa = (idx + m.start()) % lines;
+                    let want = if pa >= m.gap() { pa + 1 } else { pa };
+                    assert_eq!(
+                        m.translate(idx),
+                        want,
+                        "lines={lines} step={step} idx={idx}"
+                    );
+                }
+                m.advance();
+            }
         }
     }
 

@@ -64,8 +64,8 @@ impl WearLeveler for NoWearLeveling {
     fn translate(&self, la: LineAddr) -> LineAddr {
         la
     }
-    fn before_write(&mut self, _la: LineAddr, _bank: &mut PcmBank) -> Ns {
-        0
+    fn before_write(&mut self, la: LineAddr, _bank: &mut PcmBank) -> (Ns, LineAddr) {
+        (0, la)
     }
     fn writes_until_remap(&self, _la: LineAddr) -> u64 {
         u64::MAX

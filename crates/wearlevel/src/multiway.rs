@@ -97,7 +97,12 @@ impl MultiWaySr {
         }
     }
 
-    fn step_if_due(&mut self, la: LineAddr, bank: &mut PcmBank, sink: &mut dyn StepSink) -> Ns {
+    fn step_if_due(
+        &mut self,
+        la: LineAddr,
+        bank: &mut PcmBank,
+        sink: &mut dyn StepSink,
+    ) -> (Ns, LineAddr) {
         let mut latency = 0;
         self.outer_counter += 1;
         if self.outer_counter >= self.outer_interval {
@@ -113,7 +118,7 @@ impl MultiWaySr {
             let ops = self.inner_step(r);
             latency += sink.commit(bank, &(1 + r as u32).to_le_bytes(), &ops);
         }
-        latency
+        (latency, self.inner_translate(ia))
     }
 }
 
@@ -122,7 +127,7 @@ impl WearLeveler for MultiWaySr {
         self.inner_translate(self.outer.translate(la))
     }
 
-    fn before_write(&mut self, la: LineAddr, bank: &mut PcmBank) -> Ns {
+    fn before_write(&mut self, la: LineAddr, bank: &mut PcmBank) -> (Ns, LineAddr) {
         self.step_if_due(la, bank, &mut ApplySink)
     }
 
@@ -229,7 +234,7 @@ impl JournaledScheme for MultiWaySr {
         la: LineAddr,
         bank: &mut PcmBank,
         sink: &mut dyn StepSink,
-    ) -> Ns {
+    ) -> (Ns, LineAddr) {
         self.step_if_due(la, bank, sink)
     }
 

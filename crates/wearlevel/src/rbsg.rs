@@ -112,6 +112,13 @@ impl<P: AddressPermutation> Rbsg<P> {
         r * (self.region_lines + 1)
     }
 
+    /// Map an intermediate address through its region's gap.
+    #[inline]
+    fn place(&self, ia: u64) -> LineAddr {
+        let r = self.region_of(ia);
+        self.region_base(r) + self.regions[r as usize].translate(ia % self.region_lines)
+    }
+
     /// The metadata transition of one gap movement in region `r`, plus the
     /// physical copy it implies. Shared by the live path ([`WearLeveler::
     /// before_write`] via [`ApplySink`]) and journal replay so the two can
@@ -125,25 +132,31 @@ impl<P: AddressPermutation> Rbsg<P> {
         }]
     }
 
-    fn step_if_due(&mut self, la: LineAddr, bank: &mut PcmBank, sink: &mut dyn StepSink) -> Ns {
+    /// Count one demand write, step its region if due, and return the
+    /// step's latency and the write's post-step slot. The randomizer is
+    /// static, so its one encryption serves both.
+    fn step_if_due(
+        &mut self,
+        la: LineAddr,
+        bank: &mut PcmBank,
+        sink: &mut dyn StepSink,
+    ) -> (Ns, LineAddr) {
         let ia = self.randomizer.encrypt(la);
         let r = self.region_of(ia) as usize;
         self.counters[r] += 1;
-        if self.counters[r] < self.interval {
-            return 0;
+        let mut latency = 0;
+        if self.counters[r] >= self.interval {
+            self.counters[r] = 0;
+            let ops = self.step_region(r);
+            latency = sink.commit(bank, &(r as u32).to_le_bytes(), &ops);
         }
-        self.counters[r] = 0;
-        let ops = self.step_region(r);
-        sink.commit(bank, &(r as u32).to_le_bytes(), &ops)
+        (latency, self.place(ia))
     }
 }
 
 impl<P: AddressPermutation> WearLeveler for Rbsg<P> {
     fn translate(&self, la: LineAddr) -> LineAddr {
-        let ia = self.randomizer.encrypt(la);
-        let r = self.region_of(ia);
-        let idx = ia % self.region_lines;
-        self.region_base(r) + self.regions[r as usize].translate(idx)
+        self.place(self.randomizer.encrypt(la))
     }
 
     fn translate_batch(&self, las: &[LineAddr], out: &mut Vec<LineAddr>) {
@@ -153,13 +166,11 @@ impl<P: AddressPermutation> WearLeveler for Rbsg<P> {
         out.extend_from_slice(las);
         self.randomizer.encrypt_batch(out);
         for ia in out.iter_mut() {
-            let r = self.region_of(*ia);
-            let idx = *ia % self.region_lines;
-            *ia = self.region_base(r) + self.regions[r as usize].translate(idx);
+            *ia = self.place(*ia);
         }
     }
 
-    fn before_write(&mut self, la: LineAddr, bank: &mut PcmBank) -> Ns {
+    fn before_write(&mut self, la: LineAddr, bank: &mut PcmBank) -> (Ns, LineAddr) {
         self.step_if_due(la, bank, &mut ApplySink)
     }
 
@@ -244,7 +255,7 @@ impl<P: AddressPermutation + MetadataState> JournaledScheme for Rbsg<P> {
         la: LineAddr,
         bank: &mut PcmBank,
         sink: &mut dyn StepSink,
-    ) -> Ns {
+    ) -> (Ns, LineAddr) {
         self.step_if_due(la, bank, sink)
     }
 

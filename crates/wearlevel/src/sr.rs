@@ -82,15 +82,21 @@ impl SecurityRefresh {
         }
     }
 
-    fn step_if_due(&mut self, la: LineAddr, bank: &mut PcmBank, sink: &mut dyn StepSink) -> Ns {
+    fn step_if_due(
+        &mut self,
+        la: LineAddr,
+        bank: &mut PcmBank,
+        sink: &mut dyn StepSink,
+    ) -> (Ns, LineAddr) {
         let r = self.region_of(la) as usize;
         self.counters[r] += 1;
-        if self.counters[r] < self.interval {
-            return 0;
+        let mut latency = 0;
+        if self.counters[r] >= self.interval {
+            self.counters[r] = 0;
+            let ops = self.step_region(r);
+            latency = sink.commit(bank, &(r as u32).to_le_bytes(), &ops);
         }
-        self.counters[r] = 0;
-        let ops = self.step_region(r);
-        sink.commit(bank, &(r as u32).to_le_bytes(), &ops)
+        (latency, self.translate(la))
     }
 }
 
@@ -101,7 +107,7 @@ impl WearLeveler for SecurityRefresh {
         r * self.region_lines + self.maps[r as usize].translate(idx)
     }
 
-    fn before_write(&mut self, la: LineAddr, bank: &mut PcmBank) -> Ns {
+    fn before_write(&mut self, la: LineAddr, bank: &mut PcmBank) -> (Ns, LineAddr) {
         self.step_if_due(la, bank, &mut ApplySink)
     }
 
@@ -187,7 +193,7 @@ impl JournaledScheme for SecurityRefresh {
         la: LineAddr,
         bank: &mut PcmBank,
         sink: &mut dyn StepSink,
-    ) -> Ns {
+    ) -> (Ns, LineAddr) {
         self.step_if_due(la, bank, sink)
     }
 
@@ -325,7 +331,12 @@ impl TwoLevelSr {
         }
     }
 
-    fn step_if_due(&mut self, la: LineAddr, bank: &mut PcmBank, sink: &mut dyn StepSink) -> Ns {
+    fn step_if_due(
+        &mut self,
+        la: LineAddr,
+        bank: &mut PcmBank,
+        sink: &mut dyn StepSink,
+    ) -> (Ns, LineAddr) {
         let mut latency = 0;
         // Outer level: one refresh per ψ_out demand writes to the bank.
         self.outer_counter += 1;
@@ -344,7 +355,7 @@ impl TwoLevelSr {
             let ops = self.inner_step(r);
             latency += sink.commit(bank, &(1 + r as u32).to_le_bytes(), &ops);
         }
-        latency
+        (latency, self.inner_translate(ia))
     }
 }
 
@@ -353,7 +364,7 @@ impl WearLeveler for TwoLevelSr {
         self.inner_translate(self.outer.translate(la))
     }
 
-    fn before_write(&mut self, la: LineAddr, bank: &mut PcmBank) -> Ns {
+    fn before_write(&mut self, la: LineAddr, bank: &mut PcmBank) -> (Ns, LineAddr) {
         self.step_if_due(la, bank, &mut ApplySink)
     }
 
@@ -460,7 +471,7 @@ impl JournaledScheme for TwoLevelSr {
         la: LineAddr,
         bank: &mut PcmBank,
         sink: &mut dyn StepSink,
-    ) -> Ns {
+    ) -> (Ns, LineAddr) {
         self.step_if_due(la, bank, sink)
     }
 

@@ -74,16 +74,16 @@ impl WearLeveler for TableWearLeveling {
         self.table[la as usize]
     }
 
-    fn before_write(&mut self, la: LineAddr, bank: &mut PcmBank) -> Ns {
+    fn before_write(&mut self, la: LineAddr, bank: &mut PcmBank) -> (Ns, LineAddr) {
         self.heat[la as usize] += 1;
         self.counter += 1;
         if self.counter < self.interval {
-            return 0;
+            return (0, self.translate(la));
         }
         self.counter = 0;
         let (hot, cold) = self.next_swap_pair();
         if hot == cold {
-            return 0;
+            return (0, self.translate(la));
         }
         let pa_hot = self.table[hot as usize];
         let pa_cold = self.table[cold as usize];
@@ -93,7 +93,7 @@ impl WearLeveler for TableWearLeveling {
         self.heat[hot as usize] = 0;
         self.heat[cold as usize] = 0;
         self.swaps += 1;
-        lat
+        (lat, self.translate(la))
     }
 
     fn writes_until_remap(&self, _la: LineAddr) -> u64 {

@@ -166,6 +166,8 @@ pub struct ZipfTrace {
     /// Random relabeling stride to decorrelate rank and address.
     stride: u64,
     lines: u64,
+    /// `lines - 1` when `lines` is a power of two: `% lines` as a mask.
+    mask: Option<u64>,
 }
 
 impl ZipfTrace {
@@ -182,6 +184,7 @@ impl ZipfTrace {
             mean_gap,
             stride,
             lines,
+            mask: lines.is_power_of_two().then(|| lines - 1),
         }
     }
 }
@@ -189,8 +192,12 @@ impl ZipfTrace {
 impl TraceGenerator for ZipfTrace {
     fn next_access(&mut self) -> Access {
         let rank = self.zipf.sample(&mut self.rng);
+        let label = rank.wrapping_mul(self.stride);
         Access {
-            addr: rank.wrapping_mul(self.stride) % self.lines,
+            addr: match self.mask {
+                Some(mask) => label & mask,
+                None => label % self.lines,
+            },
             is_write: self.rng.random_bool(self.write_ratio),
             gap_cycles: sample_gap(&mut self.rng, self.mean_gap),
         }

@@ -136,7 +136,12 @@ fn drive_bank_with_window<W: WearLeveler, T: TraceGenerator>(
     for _ in 0..events {
         let a = trace.next_access();
         accesses += 1;
-        let addr = a.addr % lines;
+        // Generators emit in-bank addresses; only a stray one pays a `%`.
+        let addr = if a.addr < lines {
+            a.addr
+        } else {
+            a.addr % lines
+        };
         if a.is_write {
             flush_reads!();
             mc.advance_clock(a.gap_cycles as Ns);
