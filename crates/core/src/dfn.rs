@@ -26,11 +26,7 @@
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use srbsg_feistel::{AddressPermutation, FeistelNetwork};
-use srbsg_pcm::MIN_LANE_BATCH;
 use srbsg_persist::{expect_tag, tags, Dec, Enc, MetadataState, PersistError};
-
-// The short-batch threshold is one Feistel lane chunk.
-const _: () = assert!(MIN_LANE_BATCH == srbsg_feistel::LANES);
 
 /// Where a logical line currently lives in the intermediate address space.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -213,9 +209,7 @@ impl DfnMapping {
     /// circuits to [`IaSlot::Spare`]), each sub-batch runs through
     /// [`FeistelNetwork::encrypt_batch`], and the images are scattered
     /// back in original order. `out` is cleared and refilled with one slot
-    /// per input address. A batch shorter than [`MIN_LANE_BATCH`] never
-    /// fills a lane chunk, so it runs the scalar translation and allocates
-    /// nothing beyond `out`.
+    /// per input address.
     ///
     /// # Panics
     /// Panics if any address is out of range, like
@@ -223,10 +217,6 @@ impl DfnMapping {
     /// translation work.
     pub fn translate_batch(&self, las: &[u64], out: &mut Vec<IaSlot>) {
         out.clear();
-        if las.len() < MIN_LANE_BATCH {
-            out.extend(las.iter().map(|&la| self.translate(la)));
-            return;
-        }
         out.resize(las.len(), IaSlot::Spare);
         let mut kc = Vec::new();
         let mut kc_pos: Vec<u32> = Vec::new();
@@ -661,18 +651,25 @@ mod tests {
 
     /// The batched translation must agree with the scalar path at every
     /// remap phase: mid-cycle (parked line present), between cycles, and
-    /// at round boundaries.
+    /// at round boundaries. Width 5 gives a batch shorter than one 64-lane
+    /// chunk (only the kernels' scalar tail runs), width 7 two full chunks.
     #[test]
     fn batch_translate_matches_scalar_through_rounds() {
-        let mut dfn = DfnMapping::new(5, 3, 9);
-        let las: Vec<u64> = (0..dfn.lines()).collect();
-        let mut out = Vec::new();
-        for step in 0..300 {
-            dfn.translate_batch(&las, &mut out);
-            for (i, &la) in las.iter().enumerate() {
-                assert_eq!(out[i], dfn.translate(la), "step {step}, la {la}");
+        for width in [5, 7] {
+            let mut dfn = DfnMapping::new(width, 3, 9);
+            let las: Vec<u64> = (0..dfn.lines()).collect();
+            let mut out = Vec::new();
+            for step in 0..10 * dfn.lines() {
+                dfn.translate_batch(&las, &mut out);
+                for (i, &la) in las.iter().enumerate() {
+                    assert_eq!(out[i], dfn.translate(la), "w{width} step {step}, la {la}");
+                }
+                dfn.advance();
             }
-            dfn.advance();
+            assert!(
+                dfn.rounds_completed() >= 3,
+                "w{width}: sweep crosses rounds"
+            );
         }
     }
 
@@ -701,6 +698,9 @@ mod tests {
     fn translate_batch_rejects_out_of_range_la() {
         let dfn = DfnMapping::new(4, 3, 1);
         let mut out = Vec::new();
-        dfn.translate_batch(&[0, 3, 16], &mut out);
+        // Past one lane chunk, so the stray address sits in a batch the
+        // lane kernels would take.
+        let las: Vec<u64> = (0..80).map(|i| i % 16).chain([16]).collect();
+        dfn.translate_batch(&las, &mut out);
     }
 }

@@ -1,6 +1,6 @@
 //! The Security RBSG wear-leveling scheme (paper §IV).
 
-use srbsg_pcm::{ApplySink, LineAddr, Ns, PcmBank, PhysOp, StepSink, WearLeveler, MIN_LANE_BATCH};
+use srbsg_pcm::{ApplySink, LineAddr, Ns, PcmBank, PhysOp, StepSink, WearLeveler};
 use srbsg_persist::{expect_tag, tags, Dec, Enc, JournaledScheme, MetadataState, PersistError};
 use srbsg_wearlevel::GapMapping;
 
@@ -241,7 +241,9 @@ impl WearLeveler for SecurityRbsg {
 
     fn translate_batch(&self, las: &[LineAddr], out: &mut Vec<LineAddr>) {
         out.clear();
-        if las.len() < MIN_LANE_BATCH {
+        // A batch shorter than one lane chunk gains nothing from the lane
+        // kernels: it runs the scalar translation and allocates nothing.
+        if las.len() < srbsg_feistel::LANES {
             out.extend(las.iter().map(|&la| self.translate(la)));
             return;
         }

@@ -1,7 +1,9 @@
 //! A read batch shorter than one Feistel lane chunk runs the scalar
 //! translation and allocates nothing beyond its caller's output: runs of
-//! two or three reads are common in the sharded runner, and a batch that
+//! one to three reads are common in the sharded runner, and a batch that
 //! never fills a lane chunk gains nothing from the lane-parallel kernel.
+//! `SecurityRbsg::translate_batch` routes such a batch to the scalar
+//! translation; the controller reuses one slot buffer across batches.
 //!
 //! Allocations are counted by a global allocator, so this file holds one
 //! test: a second test running on another thread would count too.
@@ -10,7 +12,8 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use srbsg_core::{SecurityRbsg, SecurityRbsgConfig};
-use srbsg_pcm::{LineData, MemoryController, PcmError, TimingModel, WearLeveler, MIN_LANE_BATCH};
+use srbsg_feistel::LANES;
+use srbsg_pcm::{LineData, MemoryController, PcmError, TimingModel};
 
 struct Counting;
 
@@ -50,20 +53,29 @@ fn short_batches_are_scalar_and_allocation_free() {
     for i in 0..5_000u64 {
         mc.write((i * 37) % 1024, LineData::Mixed(i as u32));
     }
-    let las: Vec<u64> = (0..2 * MIN_LANE_BATCH as u64)
+    let las: Vec<u64> = (0..2 * LANES as u64)
         .map(|i| (i * 101) % 1024)
         .chain(mc.scheme().dfn().parked())
         .collect();
+    // Batches past one lane chunk take the lane kernels and match the
+    // scalar translation and reads; the first also sizes the controller's
+    // slot buffer for every shorter batch.
     let mut slots = Vec::with_capacity(las.len());
-    let mut ia = Vec::with_capacity(las.len());
     let mut reads = Vec::with_capacity(las.len());
-    for len in 1..MIN_LANE_BATCH {
+    for len in [las.len(), LANES] {
+        let batch = &las[las.len() - len..];
+        let scalar: Vec<u64> = batch.iter().map(|&la| mc.translate(la)).collect();
+        mc.translate_batch(batch, &mut slots);
+        assert_eq!(slots, scalar, "translate_batch of {len}");
+        let seq: Vec<_> = batch.iter().map(|&la| mc.read(la)).collect();
+        mc.read_batch(batch, &mut reads);
+        assert_eq!(reads, seq, "read_batch of {len}");
+    }
+    for len in 1..LANES {
         let batch = &las[las.len() - len..];
         let scalar: Vec<u64> = batch.iter().map(|&la| mc.translate(la)).collect();
         let n = allocs_in(|| mc.translate_batch(batch, &mut slots));
         assert_eq!((n, &slots), (0, &scalar), "translate_batch of {len}");
-        let n = allocs_in(|| mc.scheme().dfn().translate_batch(batch, &mut ia));
-        assert_eq!(n, 0, "DfnMapping::translate_batch of {len}");
         let n = allocs_in(|| {
             mc.read_batch(batch, &mut reads);
         });
@@ -77,8 +89,4 @@ fn short_batches_are_scalar_and_allocation_free() {
         Err(PcmError::AddressOutOfRange { la: 1024, .. })
     ));
     assert_eq!(mc.now_ns(), now);
-    // A full lane chunk still matches the scalar translation.
-    let scalar: Vec<u64> = las.iter().map(|&la| mc.scheme().translate(la)).collect();
-    mc.translate_batch(&las, &mut slots);
-    assert_eq!(slots, scalar);
 }

@@ -172,8 +172,8 @@ pub struct FeistelNetwork {
 /// four independent multiply chains in flight per stage, which matters
 /// because the two dependent `vpmulld`s of one cube otherwise leave the
 /// multiplier idle for their full latency. A batch shorter than one chunk
-/// gains nothing from the kernels; `srbsg_pcm::MIN_LANE_BATCH` mirrors
-/// this value so callers can route such batches to the scalar path.
+/// gains nothing from the kernels, so callers may route it to the scalar
+/// path instead.
 pub const LANES: usize = 64;
 
 impl FeistelNetwork {

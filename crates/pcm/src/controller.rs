@@ -3,7 +3,7 @@
 
 use crate::{
     DegradationReport, FaultConfig, FaultStats, LineAddr, LineData, Ns, PcmBank, PcmError,
-    TimingModel, WearLeveler, MIN_LANE_BATCH,
+    TimingModel, WearLeveler,
 };
 
 /// Outcome of one demand write, as observable by software.
@@ -29,6 +29,9 @@ pub struct MemoryController<W: WearLeveler> {
     wl: W,
     now: Ns,
     demand_writes: u128,
+    /// Slots of the read batch in service, kept across batches so a batch
+    /// allocates nothing once the buffer has grown to its length.
+    batch_slots: Vec<LineAddr>,
 }
 
 impl<W: WearLeveler> MemoryController<W> {
@@ -41,6 +44,7 @@ impl<W: WearLeveler> MemoryController<W> {
             wl,
             now: 0,
             demand_writes: 0,
+            batch_slots: Vec::new(),
         }
     }
 
@@ -56,6 +60,7 @@ impl<W: WearLeveler> MemoryController<W> {
             wl,
             now: 0,
             demand_writes: 0,
+            batch_slots: Vec::new(),
         }
     }
 
@@ -77,6 +82,7 @@ impl<W: WearLeveler> MemoryController<W> {
             wl,
             now: 0,
             demand_writes: 0,
+            batch_slots: Vec::new(),
         }
     }
 
@@ -284,9 +290,7 @@ impl<W: WearLeveler> MemoryController<W> {
     /// is equivalent because reads never mutate the mapping and latency
     /// sums are associative. The one observable difference from the
     /// scalar loop: an out-of-range address anywhere in the batch rejects
-    /// the *whole* batch before any read is serviced. A batch shorter than
-    /// [`MIN_LANE_BATCH`] translates each address with the scalar
-    /// [`WearLeveler::translate`] and allocates nothing beyond `out`.
+    /// the *whole* batch before any read is serviced.
     pub fn try_read_batch(
         &mut self,
         las: &[LineAddr],
@@ -295,32 +299,19 @@ impl<W: WearLeveler> MemoryController<W> {
         for &la in las {
             self.check_la(la)?;
         }
+        self.wl.translate_batch(las, &mut self.batch_slots);
+        let translation = self.bank.timing().translation_ns as Ns;
+        let mut total = 0;
         out.clear();
         out.reserve(las.len());
-        let mut total = 0;
-        if las.len() < MIN_LANE_BATCH {
-            for &la in las {
-                total += self.read_slot(self.wl.translate(la), out);
-            }
-        } else {
-            let mut slots = Vec::with_capacity(las.len());
-            self.wl.translate_batch(las, &mut slots);
-            for &slot in &slots {
-                total += self.read_slot(slot, out);
-            }
+        for &slot in &self.batch_slots {
+            let (data, mut latency) = self.bank.read_line_timed(slot);
+            latency += translation;
+            total += latency;
+            out.push((data, latency));
         }
         self.now += total;
         Ok(total)
-    }
-
-    /// Read `slot` for a batch, pushing its `(data, latency)` onto `out`
-    /// and returning the latency; the clock is the caller's to advance.
-    #[inline]
-    fn read_slot(&self, slot: LineAddr, out: &mut Vec<(LineData, Ns)>) -> Ns {
-        let (data, latency) = self.bank.read_line_timed(slot);
-        let latency = latency + self.bank.timing().translation_ns as Ns;
-        out.push((data, latency));
-        latency
     }
 
     /// Service a batch of demand reads. Panics on an out-of-range
@@ -668,20 +659,32 @@ mod tests {
             a.write(la, LineData::Mixed(la as u32));
             b.write(la, LineData::Mixed(la as u32));
         }
-        let las: Vec<LineAddr> = (0..16).map(|i| (i * 5) % 8).collect();
-        let seq: Vec<(LineData, Ns)> = las.iter().map(|&la| a.read(la)).collect();
+        // Batches on both sides of one 64-lane chunk, with a write (and so
+        // a remap) in between.
+        for len in [16u64, 160] {
+            let las: Vec<LineAddr> = (0..len).map(|i| (i * 5) % 8).collect();
+            let seq: Vec<(LineData, Ns)> = las.iter().map(|&la| a.read(la)).collect();
+            let mut batch = Vec::new();
+            let total = b.read_batch(&las, &mut batch);
+            assert_eq!(batch, seq, "len {len}");
+            assert_eq!(total, seq.iter().map(|&(_, ns)| ns).sum::<Ns>());
+            assert_eq!(a.now_ns(), b.now_ns());
+            a.write(len % 8, LineData::Ones);
+            b.write(len % 8, LineData::Ones);
+        }
+        // Typed rejection happens before any read is serviced, however
+        // long the batch and wherever the stray address sits in it.
         let mut batch = Vec::new();
-        let total = b.read_batch(&las, &mut batch);
-        assert_eq!(batch, seq);
-        assert_eq!(total, seq.iter().map(|&(_, ns)| ns).sum::<Ns>());
-        assert_eq!(a.now_ns(), b.now_ns());
-        // Typed rejection happens before any read is serviced.
-        let before = b.now_ns();
-        assert!(matches!(
-            b.try_read_batch(&[0, 99], &mut batch),
-            Err(PcmError::AddressOutOfRange { la: 99, .. })
-        ));
-        assert_eq!(b.now_ns(), before);
+        for len in [2u64, 130] {
+            let mut las: Vec<LineAddr> = (0..len - 1).map(|i| i % 8).collect();
+            las.push(99);
+            let before = b.now_ns();
+            assert!(matches!(
+                b.try_read_batch(&las, &mut batch),
+                Err(PcmError::AddressOutOfRange { la: 99, .. })
+            ));
+            assert_eq!(b.now_ns(), before);
+        }
     }
 
     #[test]

@@ -50,14 +50,6 @@ pub type LineAddr = u64;
 /// Simulated time in nanoseconds.
 pub type Ns = u128;
 
-/// Shortest batch that runs through a lane-parallel translation kernel:
-/// one lane chunk of the Feistel batch kernels (`srbsg_feistel::LANES`).
-/// A shorter batch never fills a chunk, so the lane-parallel
-/// [`WearLeveler::translate_batch`] overrides and
-/// [`MemoryController::try_read_batch`] serve it with the scalar
-/// translation and allocate nothing beyond their output.
-pub const MIN_LANE_BATCH: usize = 64;
-
 /// Contents of one memory line, represented compactly.
 ///
 /// The attacks in the paper only ever write ALL-0 or ALL-1 patterns (the two

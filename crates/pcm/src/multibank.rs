@@ -487,15 +487,19 @@ mod tests {
             a.write(la, LineData::Mixed(la as u32));
             b.write(la, LineData::Mixed(la as u32));
         }
-        // A batch that hits banks out of order and repeats addresses.
-        let las: Vec<LineAddr> = (0..40).map(|i| (i * 13) % 64).collect();
-        let seq: Vec<(LineData, Ns)> = las.iter().map(|&la| a.read(la)).collect();
-        let mut batch = Vec::new();
-        b.read_batch(&las, &mut batch);
-        assert_eq!(batch, seq);
-        for bank in 0..4 {
-            assert_eq!(a.banks()[bank].now_ns(), b.banks()[bank].now_ns());
+        // Batches that hit banks out of order and repeat addresses; the
+        // longer one gives every bank more than one 64-lane chunk.
+        for len in [40u64, 400] {
+            let las: Vec<LineAddr> = (0..len).map(|i| (i * 13) % 64).collect();
+            let seq: Vec<(LineData, Ns)> = las.iter().map(|&la| a.read(la)).collect();
+            let mut batch = Vec::new();
+            b.read_batch(&las, &mut batch);
+            assert_eq!(batch, seq, "len {len}");
+            for bank in 0..4 {
+                assert_eq!(a.banks()[bank].now_ns(), b.banks()[bank].now_ns());
+            }
         }
+        let mut batch = Vec::new();
         assert!(matches!(
             b.try_read_batch(&[0, 64], &mut batch),
             Err(PcmError::AddressOutOfRange { la: 64, .. })

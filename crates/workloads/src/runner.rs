@@ -124,11 +124,7 @@ fn drive_bank_with_window<W: WearLeveler, T: TraceGenerator>(
         () => {
             if !pending.is_empty() {
                 mc.advance_clock(std::mem::take(&mut pending_gap));
-                if pending.len() == 1 {
-                    let _ = mc.read(pending[0]);
-                } else {
-                    mc.read_batch(&pending, &mut results);
-                }
+                mc.read_batch(&pending, &mut results);
                 pending.clear();
             }
         };
@@ -387,38 +383,56 @@ mod tests {
 
     #[test]
     fn read_windows_are_outcome_identical() {
-        // Read-heavy trace so batching actually engages; every window,
-        // including the scalar window 1, must land every counter, clock,
-        // and wear value on the same place.
-        let spec = WorkloadSpec::Zipf {
-            s: 1.2,
-            write_ratio: 0.2,
-            mean_gap: 10,
-        };
-        let make = |_bank: usize, lines: u64, seed: u64| spec.build(lines, seed);
-        let r = runner(3_000);
-        let drive = |window: usize| {
-            let mut sys = system(2, 1_000_000_000);
-            let lines = sys.banks()[0].logical_lines();
-            let outcomes: Vec<ShardOutcome> = sys
-                .banks_mut()
-                .iter_mut()
-                .enumerate()
-                .map(|(b, mc)| {
-                    let mut trace = make(b, lines, shard_seed(r.master_seed, b));
-                    drive_bank_with_window(b, mc, &mut trace, r.events_per_bank, window)
-                })
-                .collect();
-            let wear: Vec<Vec<u64>> = sys
-                .banks()
-                .iter()
-                .map(|b| b.bank().wear().to_vec())
-                .collect();
-            (outcomes, wear)
-        };
-        let reference = drive(1);
-        for window in [2usize, 3, 7, 256] {
-            assert_eq!(drive(window), reference, "window={window}");
+        // Every window, including the scalar window 1, must land every
+        // counter, clock, and wear value on the same place. The read-heavy
+        // trace flushes mostly short batches; the near-read-only one also
+        // flushes batches past one 64-lane chunk, up to the full window.
+        for (write_ratio, events, min_run) in [(0.2, 3_000u64, 2u64), (0.01, 20_000, 256)] {
+            let spec = WorkloadSpec::Zipf {
+                s: 1.2,
+                write_ratio,
+                mean_gap: 10,
+            };
+            let make = |_bank: usize, lines: u64, seed: u64| spec.build(lines, seed);
+            let r = runner(events);
+            let lines = system(1, 1).banks()[0].logical_lines();
+            let drive = |window: usize| {
+                let mut sys = system(2, 1_000_000_000);
+                let outcomes: Vec<ShardOutcome> = sys
+                    .banks_mut()
+                    .iter_mut()
+                    .enumerate()
+                    .map(|(b, mc)| {
+                        let mut trace = make(b, lines, shard_seed(r.master_seed, b));
+                        drive_bank_with_window(b, mc, &mut trace, r.events_per_bank, window)
+                    })
+                    .collect();
+                let wear: Vec<Vec<u64>> = sys
+                    .banks()
+                    .iter()
+                    .map(|b| b.bank().wear().to_vec())
+                    .collect();
+                (outcomes, wear)
+            };
+            let reference = drive(1);
+            for window in [2usize, 3, 7, 256] {
+                assert_eq!(drive(window), reference, "w={write_ratio} window={window}");
+            }
+            // The longest read run bank 0 sees caps its largest batch.
+            let mut trace = make(0, lines, shard_seed(r.master_seed, 0));
+            let (mut run, mut longest) = (0u64, 0u64);
+            for _ in 0..events {
+                run = if trace.next_access().is_write {
+                    0
+                } else {
+                    run + 1
+                };
+                longest = longest.max(run);
+            }
+            assert!(
+                longest >= min_run,
+                "w={write_ratio}: longest read run {longest}"
+            );
         }
     }
 
