@@ -491,8 +491,8 @@ impl Shelf {
                 "recovered shelf lost acked count"
             );
             run.healed += u64::from(scrub.healed_slot.is_some());
-            let (mut fe, boot) =
-                restore(&state, self.policy, self.serve).unwrap_or_else(|e| panic!("{e}"));
+            let (mut fe, boot) = restore(&state, self.policy, self.serve, self.seed)
+                .unwrap_or_else(|e| panic!("{e}"));
             arm(&mut fe, armed);
             let commit = capture(
                 &fe,

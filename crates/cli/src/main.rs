@@ -31,9 +31,9 @@
 //!             scrub healing, read-only degradation, equivalence checks
 //!   servebin  Real-process chaos harness for the srbsg-server binary:
 //!             malformed-frame fuzz, open-loop bench, SIGKILL + SIGTERM
-//!             mid-load with restart, zero-lost-acked-writes audit
-//!             (requires the srbsg-server/srbsg-loadgen binaries to be
-//!             built; not part of `all`)
+//!             mid-load with restart, zero-lost-acked-writes audit; the
+//!             load runs in-process (requires the srbsg-server binary to
+//!             be built; not part of `all`)
 //!   all       Everything above except servebin
 //! ```
 //!

@@ -1,8 +1,10 @@
 //! `experiments servebin` — the kill–restart chaos harness for the
 //! `srbsg-server` binary. Unlike `serve`/`crashfuzz`, which exercise the
-//! in-process front-end, this harness drives **real processes**: it
-//! launches `srbsg-server`, aims `srbsg-loadgen` at it over the wire,
-//! and injects failures from the outside.
+//! in-process front-end, this harness drives a **real server process**:
+//! it launches `srbsg-server`, aims the open-loop load generator
+//! (`srbsg_server::loadgen`, on threads of this process) at it over the
+//! wire, and injects failures from the outside. Only the server is a
+//! separate process, because it has to be `SIGKILL`ed.
 //!
 //! Phases, in order, all over one durable data directory:
 //!
@@ -13,12 +15,13 @@
 //!    produce a typed error (or a clean drop for the truncation) and
 //!    leave the server answering pings; then a `SIGTERM` drain must
 //!    exit 0.
-//! 2. **steady bench (UDS)** — open-loop load at 1/2/4 connections;
-//!    goodput and latency percentiles recorded per phase.
-//! 3. **SIGKILL chaos** — open-loop load in the background; once enough
-//!    writes are acknowledged the server is killed with `SIGKILL`,
-//!    restarted on the same endpoint, and the load phase runs to
-//!    completion across the gap (client-side backoff + resend).
+//! 2. **steady bench (UDS)** — open-loop load at 1/2/4 connections, each
+//!    offering [`RATE_PER_CONN`]; latency from each request's due time
+//!    and the generator's own lateness recorded per phase.
+//! 3. **SIGKILL chaos** — load runs while, once enough writes are
+//!    acknowledged, the server is killed with `SIGKILL` and restarted on
+//!    the same endpoint; the phase runs to completion across the gap
+//!    (client-side backoff + resend).
 //! 4. **SIGTERM-under-load chaos** — same, but the server is asked to
 //!    drain gracefully mid-load and must exit 0 before the restart.
 //! 5. **post-restart bench** — 1/2/4 connections again, on the
@@ -29,20 +32,25 @@
 //!    the same phase or later. Anything else is a lost acked write, and
 //!    the harness panics — that is the CI gate.
 //!
-//! Results go to `results/servebin.csv` and `results/BENCH_server.json`.
-//! The server/loadgen binaries are found next to the `experiments`
-//! binary, or via `SRBSG_SERVER_BIN` / `SRBSG_LOADGEN_BIN`.
+//! Results go to `results/servebin.csv` and `results/BENCH_server.json`,
+//! with the host's core count, filesystem type and fsync mode. The server
+//! binary is found next to the `experiments` binary, or via
+//! `SRBSG_SERVER_BIN`.
 
 use std::collections::HashMap;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
 
 use srbsg_persist::crc64;
-use srbsg_server::{os, Client, Endpoint, ErrCode, LoadReport, WireResponse};
+use srbsg_server::{os, run_load, Client, Endpoint, ErrCode, LoadConfig, LoadReport, WireResponse};
 
 use crate::table::Table;
 use crate::Opts;
+
+/// Offered load of one connection, requests per second. A phase with `n`
+/// connections offers `n` times this.
+const RATE_PER_CONN: f64 = 1000.0;
 
 /// Harness scale, derived from `--quick`.
 struct Scale {
@@ -53,7 +61,6 @@ struct Scale {
     chaos_requests: usize,
     chaos_conns: usize,
     kill_after_writes: u64,
-    wall_deadline_s: u64,
 }
 
 impl Scale {
@@ -67,7 +74,6 @@ impl Scale {
                 chaos_requests: 1200,
                 chaos_conns: 2,
                 kill_after_writes: 150,
-                wall_deadline_s: 120,
             }
         } else {
             Self {
@@ -78,42 +84,24 @@ impl Scale {
                 chaos_requests: 3000,
                 chaos_conns: 4,
                 kill_after_writes: 600,
-                wall_deadline_s: 180,
             }
         }
     }
 }
 
-struct Bins {
-    server: PathBuf,
-    loadgen: PathBuf,
-}
-
-/// Locate the server/loadgen binaries: explicit env override, else
-/// siblings of the running `experiments` binary (same target profile).
-fn find_bins() -> Bins {
-    let sibling = |name: &str| -> PathBuf {
-        std::env::current_exe()
-            .ok()
-            .and_then(|p| p.parent().map(|d| d.join(name)))
-            .unwrap_or_else(|| PathBuf::from(name))
-    };
-    let pick = |env: &str, name: &str| -> PathBuf {
-        let p = std::env::var_os(env)
-            .map(PathBuf::from)
-            .unwrap_or_else(|| sibling(name));
-        assert!(
-            p.is_file(),
-            "{name} not found at {} — build it first \
-             (cargo build --release -p srbsg-server) or set {env}",
-            p.display()
-        );
-        p
-    };
-    Bins {
-        server: pick("SRBSG_SERVER_BIN", "srbsg-server"),
-        loadgen: pick("SRBSG_LOADGEN_BIN", "srbsg-loadgen"),
-    }
+/// Locate the server binary: explicit env override, else a sibling of the
+/// running `experiments` binary (same target profile).
+fn server_bin() -> PathBuf {
+    let exe = std::env::current_exe().expect("path of the running binary");
+    let p = std::env::var_os("SRBSG_SERVER_BIN")
+        .map_or_else(|| exe.with_file_name("srbsg-server"), PathBuf::from);
+    assert!(
+        p.is_file(),
+        "srbsg-server not found at {} — build it first \
+         (cargo build --release -p srbsg-server) or set SRBSG_SERVER_BIN",
+        p.display()
+    );
+    p
 }
 
 struct Server {
@@ -129,8 +117,8 @@ impl Drop for Server {
     }
 }
 
-fn start_server(bins: &Bins, scale: &Scale, dir: &std::path::Path, listen: &str) -> Server {
-    let child = Command::new(&bins.server)
+fn start_server(bin: &Path, scale: &Scale, dir: &Path, listen: &str) -> Server {
+    let child = Command::new(bin)
         .args([
             "--listen",
             listen,
@@ -168,80 +156,37 @@ fn wait_ready(ep: &Endpoint) {
 }
 
 impl Server {
-    fn sigkill(mut self) {
+    fn sigkill(&mut self) {
         self.child.kill().expect("SIGKILL");
         let _ = self.child.wait();
     }
 
-    fn sigterm_expect_clean_exit(mut self, what: &str) {
+    fn sigterm_expect_clean_exit(&mut self, what: &str) {
         os::send_signal(self.child.id(), os::SIGTERM).expect("SIGTERM");
         let status = self.child.wait().expect("wait for server");
         assert_eq!(status.code(), Some(0), "{what}: drain must exit 0");
     }
 }
 
-/// One finished load phase: its name plus the parsed loadgen report.
+/// One finished load phase.
 struct Phase {
     name: String,
-    conns: usize,
+    cfg: LoadConfig,
     report: LoadReport,
-    kv: HashMap<String, String>,
 }
 
-#[allow(clippy::too_many_arguments)]
-fn spawn_loadgen(
-    bins: &Bins,
-    ep_str: &str,
-    scale: &Scale,
-    conns: usize,
-    requests: usize,
-    write_ratio: f64,
-    tag_base: u32,
-    report: &std::path::Path,
-) -> Child {
-    Command::new(&bins.loadgen)
-        .args([
-            "--connect",
-            ep_str,
-            "--lines",
-            &scale.lines.to_string(),
-            "--conns",
-            &conns.to_string(),
-            "--requests",
-            &requests.to_string(),
-            "--write-ratio",
-            &write_ratio.to_string(),
-            "--gap-us",
-            "20",
-            "--window",
-            "8",
-            "--seed",
-            &(0x10AD_0000u64 + tag_base as u64).to_string(),
-            "--tag-base",
-            &tag_base.to_string(),
-            "--wall-deadline-s",
-            &scale.wall_deadline_s.to_string(),
-            "--report",
-            report.to_str().unwrap(),
-        ])
-        .stdout(Stdio::inherit())
-        .stderr(Stdio::inherit())
-        .spawn()
-        .expect("spawn srbsg-loadgen")
-}
-
-fn finish_loadgen(mut child: Child, report: &std::path::Path, name: &str, conns: usize) -> Phase {
-    let status = child.wait().expect("wait for loadgen");
-    assert_eq!(status.code(), Some(0), "{name}: loadgen must exit 0");
-    let text = std::fs::read_to_string(report)
-        .unwrap_or_else(|e| panic!("{name}: read report {}: {e}", report.display()));
-    let (rep, kv) = LoadReport::parse(&text).unwrap_or_else(|e| panic!("{name}: {e}"));
-    Phase {
-        name: name.to_string(),
-        conns,
-        report: rep,
-        kv,
-    }
+/// Run one load phase on threads of this process; `during` runs on the
+/// calling thread meanwhile (the chaos phases kill and restart the server
+/// from it).
+fn phase(name: &str, cfg: LoadConfig, during: impl FnOnce()) -> Phase {
+    let report = std::thread::scope(|s| {
+        let load = s.spawn(|| run_load(&cfg));
+        during();
+        load.join().expect("load generator panicked")
+    });
+    println!("  {name}: rate_rps={} {report}", cfg.rate);
+    let name = name.to_string();
+    Phase { name, cfg, report }
 }
 
 /// Current acked-write count as seen over the wire; `None` while the
@@ -269,10 +214,10 @@ fn wait_for_writes(ep: &Endpoint, threshold: u64, what: &str) {
 
 /// Phase 1: the malformed-frame fuzz corpus against a live TCP server.
 /// Returns the malformed-frame count the server itself reported.
-fn fuzz_phase(bins: &Bins, scale: &Scale, root: &std::path::Path) -> u64 {
+fn fuzz_phase(bin: &Path, scale: &Scale, root: &Path) -> u64 {
     let dir = root.join("tcp");
     std::fs::create_dir_all(&dir).unwrap();
-    let srv = start_server(bins, scale, &dir, "tcp:127.0.0.1:0");
+    let mut srv = start_server(bin, scale, &dir, "tcp:127.0.0.1:0");
     // The kernel picks the port; the server writes the bound endpoint to
     // a sidecar for exactly this kind of discovery.
     let ep = {
@@ -409,13 +354,13 @@ fn audit(phases: &[Phase], ep: &Endpoint) -> (usize, usize) {
 /// robustness violation.
 pub fn run(opts: &Opts) {
     let scale = Scale::new(opts.quick);
-    let bins = find_bins();
+    let bin = server_bin();
     let root = std::env::temp_dir().join(format!("srbsg_servebin_{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&root);
     std::fs::create_dir_all(&root).unwrap();
 
     println!("== servebin: malformed-frame fuzz over TCP ==");
-    let malformed = fuzz_phase(&bins, &scale, &root);
+    let malformed = fuzz_phase(&bin, &scale, &root);
 
     // Everything else runs against one durable data dir over UDS, so the
     // endpoint survives restarts (no TIME_WAIT rebind races).
@@ -424,108 +369,64 @@ pub fn run(opts: &Opts) {
     let ep_str = format!("uds:{}", dir.join("srv.sock").display());
     let ep = Endpoint::parse(&ep_str).unwrap();
 
-    let mut phases: Vec<Phase> = Vec::new();
-    let mut tag_seq = 0u32;
-    let mut next_tag_base = || {
-        tag_seq += 1;
-        tag_seq << 16
+    // Request indices, and so write tags, continue across phases.
+    let mut next_index = 0u64;
+    let mut load = |conns: usize, requests: usize, write_ratio: f64| {
+        let cfg = LoadConfig {
+            endpoint: ep.clone(),
+            conns,
+            requests_per_conn: requests,
+            lines: scale.lines,
+            write_ratio,
+            rate: RATE_PER_CONN * conns as f64,
+            seed: 0x10AD_0000 ^ next_index,
+            first_index: next_index,
+            wall_deadline: Duration::from_secs(180),
+        };
+        next_index += (conns * requests) as u64;
+        cfg
     };
-    let report_path = |name: &str| root.join(format!("report_{name}.txt"));
+    let mut phases: Vec<Phase> = Vec::new();
 
-    let mut srv = start_server(&bins, &scale, &dir, &ep_str);
+    let mut srv = start_server(&bin, &scale, &dir, &ep_str);
     wait_ready(&ep);
 
     println!("== servebin: steady bench (1/2/4 connections) ==");
     for conns in [1usize, 2, 4] {
-        let name = format!("steady-{conns}c");
-        let rp = report_path(&name);
-        let child = spawn_loadgen(
-            &bins,
-            &ep_str,
-            &scale,
-            conns,
-            scale.bench_requests,
-            0.5,
-            next_tag_base(),
-            &rp,
-        );
-        phases.push(finish_loadgen(child, &rp, &name, conns));
+        let cfg = load(conns, scale.bench_requests, 0.5);
+        phases.push(phase(&format!("steady-{conns}c"), cfg, || {}));
     }
 
-    println!("== servebin: SIGKILL mid-load, restart, finish ==");
-    let base = served_writes(&ep).expect("stats before chaos");
-    {
-        let name = "chaos-sigkill";
-        let rp = report_path(name);
-        let child = spawn_loadgen(
-            &bins,
-            &ep_str,
-            &scale,
-            scale.chaos_conns,
-            scale.chaos_requests,
-            0.7,
-            next_tag_base(),
-            &rp,
-        );
-        wait_for_writes(&ep, base + scale.kill_after_writes, name);
-        srv.sigkill();
-        srv = start_server(&bins, &scale, &dir, &ep_str);
-        wait_ready(&ep);
-        let phase = finish_loadgen(child, &rp, name, scale.chaos_conns);
+    for (name, drain) in [("chaos-sigkill", false), ("chaos-sigterm", true)] {
+        println!("== servebin: {name}: stop the server mid-load, restart, finish ==");
+        let base = served_writes(&ep).expect("stats before chaos");
+        let cfg = load(scale.chaos_conns, scale.chaos_requests, 0.7);
+        let p = phase(name, cfg, || {
+            wait_for_writes(&ep, base + scale.kill_after_writes, name);
+            if drain {
+                srv.sigterm_expect_clean_exit("drain under load");
+            } else {
+                srv.sigkill();
+            }
+            srv = start_server(&bin, &scale, &dir, &ep_str);
+            wait_ready(&ep);
+        });
         assert!(
-            phase.report.reconnects > 0,
-            "{name}: the load generator must have reconnected across the kill"
+            p.report.reconnects > 0,
+            "{name}: the load generator must have reconnected across the restart"
         );
-        phases.push(phase);
-    }
-
-    println!("== servebin: SIGTERM drain under load, restart, finish ==");
-    let base = served_writes(&ep).expect("stats before drain chaos");
-    {
-        let name = "chaos-sigterm";
-        let rp = report_path(name);
-        let child = spawn_loadgen(
-            &bins,
-            &ep_str,
-            &scale,
-            scale.chaos_conns,
-            scale.chaos_requests,
-            0.7,
-            next_tag_base(),
-            &rp,
-        );
-        wait_for_writes(&ep, base + scale.kill_after_writes, name);
-        srv.sigterm_expect_clean_exit("drain under load");
-        srv = start_server(&bins, &scale, &dir, &ep_str);
-        wait_ready(&ep);
-        let phase = finish_loadgen(child, &rp, name, scale.chaos_conns);
-        assert!(
-            phase.report.reconnects > 0,
-            "{name}: the load generator must have reconnected across the drain"
-        );
-        phases.push(phase);
+        phases.push(p);
     }
 
     println!("== servebin: post-restart bench (1/2/4 connections) ==");
     for conns in [1usize, 2, 4] {
-        let name = format!("restart-{conns}c");
-        let rp = report_path(&name);
-        let child = spawn_loadgen(
-            &bins,
-            &ep_str,
-            &scale,
-            conns,
-            scale.bench_requests,
-            0.5,
-            next_tag_base(),
-            &rp,
-        );
-        phases.push(finish_loadgen(child, &rp, &name, conns));
+        let cfg = load(conns, scale.bench_requests, 0.5);
+        phases.push(phase(&format!("restart-{conns}c"), cfg, || {}));
     }
 
     println!("== servebin: final drain + audit restart ==");
     srv.sigterm_expect_clean_exit("final drain");
-    let srv = start_server(&bins, &scale, &dir, &ep_str);
+    let mut srv = start_server(&bin, &scale, &dir, &ep_str);
     wait_ready(&ep);
     let generation = Client::connect(&ep, Duration::from_secs(5))
         .expect("audit connect")
@@ -548,70 +449,54 @@ pub fn run(opts: &Opts) {
         phases.len()
     );
 
-    // Table + CSV.
-    let mut t = Table::new(
-        "servebin: real-process chaos phases",
-        &[
-            "phase",
-            "conns",
-            "sent",
-            "acked_writes",
-            "errors",
-            "reconnects",
-            "p50_us",
-            "p99_us",
-            "p999_us",
-            "goodput_rps",
-        ],
-    );
-    let kv = |p: &Phase, k: &str| p.kv.get(k).cloned().unwrap_or_else(|| "0".into());
+    // Table + CSV, and the same columns as JSON with the host facts a
+    // server number needs to be evidence. Latencies are from each
+    // request's due time; a percentile without ten samples beyond it is
+    // left out (`-`, `null`).
+    let mut t = Table::keyed("servebin: real-process chaos phases");
+    let mut entries = Vec::new();
     for p in &phases {
-        t.row(vec![
-            p.name.clone(),
-            p.conns.to_string(),
-            p.report.sent.to_string(),
-            p.report.acked_writes.to_string(),
-            p.report.errors.to_string(),
-            p.report.reconnects.to_string(),
-            kv(p, "p50_us"),
-            kv(p, "p99_us"),
-            kv(p, "p999_us"),
-            kv(p, "goodput_rps"),
-        ]);
+        let mut cols = vec![
+            ("conns", Some(p.cfg.conns.to_string())),
+            ("rate_rps", Some(p.cfg.rate.to_string())),
+        ];
+        cols.extend(p.report.summary());
+        let cells = cols
+            .iter()
+            .map(|(k, v)| (*k, v.clone().unwrap_or("-".into())));
+        t.row_keyed(
+            [("phase", p.name.clone())]
+                .into_iter()
+                .chain(cells)
+                .collect(),
+        );
+        let fields: Vec<String> = (cols.iter())
+            .map(|(k, v)| format!("\"{k}\": {}", v.as_deref().unwrap_or("null")))
+            .collect();
+        entries.push(format!(
+            "{{\"phase\": \"{}\", {}}}",
+            p.name,
+            fields.join(", ")
+        ));
     }
     t.print();
     t.write_csv(&opts.out_dir, "servebin");
 
-    // Machine-readable bench summary (same shape family as the other
-    // BENCH_*.json artifacts).
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let entry = |p: &Phase| {
-        format!(
-            "{{\"phase\": \"{}\", \"conns\": {}, \"goodput_rps\": {}, \
-             \"p50_us\": {}, \"p99_us\": {}, \"p999_us\": {}, \
-             \"acked_writes\": {}, \"reconnects\": {}}}",
-            p.name,
-            p.conns,
-            kv(p, "goodput_rps"),
-            kv(p, "p50_us"),
-            kv(p, "p99_us"),
-            kv(p, "p999_us"),
-            p.report.acked_writes,
-            p.report.reconnects
-        )
-    };
-    let json = format!(
-        "{{\"bench\": \"srbsg_server\", \"quick\": {}, \"cores\": {cores}, \
+    let fs = os::fs_type(&dir).unwrap_or_else(|e| format!("unknown ({e})"));
+    let summary = format!(
+        "{{\"bench\": \"srbsg_server\", \"quick\": {}, \"nproc\": {cores}, \
+         \"fs_type\": \"{fs}\", \"fsync\": false, \"latency_from\": \"due time\", \
          \"banks\": {}, \"lines\": {}, \"malformed_frames_fuzzed\": {malformed}, \
          \"audited_addresses\": {audited}, \"lost_acked_writes\": {lost}, \
          \"final_generation\": {generation}, \"phases\": [{}]}}\n",
         opts.quick,
         scale.banks,
         scale.lines,
-        phases.iter().map(entry).collect::<Vec<_>>().join(", ")
+        entries.join(", ")
     );
     let path = PathBuf::from(&opts.out_dir).join("BENCH_server.json");
-    std::fs::write(&path, json).expect("write bench summary");
+    std::fs::write(&path, summary).expect("write bench summary");
     eprintln!("[wrote {}]", path.display());
 
     let _ = std::fs::remove_dir_all(&root);

@@ -360,6 +360,9 @@ impl<W: WearLeveler> MemoryController<W> {
             failed: self.bank.failed(),
         };
         while remaining > 0 {
+            // The mapping only changes at the exact write below, so one
+            // translation serves the whole quiet stretch.
+            let slot = self.wl.translate(la);
             // Cap each bulk stretch at the writes guaranteed free of fault
             // events and endurance crossings, so event-carrying writes take
             // the exact path and the loop stops at the failing write
@@ -367,12 +370,10 @@ impl<W: WearLeveler> MemoryController<W> {
             let to_event = if self.bank.failed() {
                 remaining
             } else {
-                let slot = self.wl.translate(la);
                 self.bank.bulk_safe_writes(slot)
             };
             let quiet = self.wl.writes_until_remap(la).min(remaining).min(to_event);
             if quiet > 0 {
-                let slot = self.wl.translate(la);
                 let bulk_lat = self.bank.write_line_bulk(slot, data, quiet)
                     + (self.bank.timing().translation_ns as Ns) * quiet as Ns;
                 self.wl.note_quiet_writes(la, quiet);

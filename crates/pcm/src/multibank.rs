@@ -200,53 +200,6 @@ impl<W: WearLeveler> MultiBankSystem<W> {
             .expect("demand read outside the system address space")
     }
 
-    /// Service a batch of reads through one lane-parallel translation per
-    /// addressed bank. Addresses are grouped by bank *stably* (each
-    /// bank's sub-batch keeps system request order — the order its
-    /// controller would see from a scalar loop), each bank runs
-    /// [`MemoryController::read_batch`], and the results scatter back
-    /// into `out` in original request order. Like the controller batch,
-    /// the only observable difference from back-to-back
-    /// [`MultiBankSystem::try_read`] calls is whole-batch rejection of an
-    /// out-of-range address.
-    pub fn try_read_batch(
-        &mut self,
-        las: &[LineAddr],
-        out: &mut Vec<(LineData, Ns)>,
-    ) -> Result<(), PcmError> {
-        for &la in las {
-            self.check_la(la)?;
-        }
-        let nb = self.banks.len();
-        let mut per_bank: Vec<Vec<LineAddr>> = vec![Vec::new(); nb];
-        let mut per_bank_pos: Vec<Vec<u32>> = vec![Vec::new(); nb];
-        for (i, &la) in las.iter().enumerate() {
-            let (bank, addr) = self.route(la);
-            per_bank[bank].push(addr);
-            per_bank_pos[bank].push(i as u32);
-        }
-        out.clear();
-        out.resize(las.len(), (LineData::Zeros, 0));
-        let mut results = Vec::new();
-        for (bank, addrs) in per_bank.iter().enumerate() {
-            if addrs.is_empty() {
-                continue;
-            }
-            self.banks[bank].read_batch(addrs, &mut results);
-            for (j, &i) in per_bank_pos[bank].iter().enumerate() {
-                out[i as usize] = results[j];
-            }
-        }
-        Ok(())
-    }
-
-    /// Service a batch of reads. Panics on an out-of-range address; use
-    /// [`MultiBankSystem::try_read_batch`] for a typed error.
-    pub fn read_batch(&mut self, las: &[LineAddr], out: &mut Vec<(LineData, Ns)>) {
-        self.try_read_batch(las, out)
-            .expect("demand read outside the system address space")
-    }
-
     /// Whether the *whole system* is dead: every bank has failed. One dead
     /// bank degrades the system (its addresses fail, the rest serve); use
     /// [`MultiBankSystem::bank_failed`] / [`MultiBankSystem::any_bank_failed`]
@@ -477,33 +430,6 @@ mod tests {
         let fast = s.write(0, LineData::Ones).latency_ns; // bank 0
         let slow = s.write(1, LineData::Ones).latency_ns; // bank 1
         assert_eq!(slow, fast * 4, "per-bank timing models must be honored");
-    }
-
-    #[test]
-    fn read_batch_equals_sequential_reads_across_banks() {
-        let mut a = system(4);
-        let mut b = system(4);
-        for la in 0..64 {
-            a.write(la, LineData::Mixed(la as u32));
-            b.write(la, LineData::Mixed(la as u32));
-        }
-        // Batches that hit banks out of order and repeat addresses; the
-        // longer one gives every bank more than one 64-lane chunk.
-        for len in [40u64, 400] {
-            let las: Vec<LineAddr> = (0..len).map(|i| (i * 13) % 64).collect();
-            let seq: Vec<(LineData, Ns)> = las.iter().map(|&la| a.read(la)).collect();
-            let mut batch = Vec::new();
-            b.read_batch(&las, &mut batch);
-            assert_eq!(batch, seq, "len {len}");
-            for bank in 0..4 {
-                assert_eq!(a.banks()[bank].now_ns(), b.banks()[bank].now_ns());
-            }
-        }
-        let mut batch = Vec::new();
-        assert!(matches!(
-            b.try_read_batch(&[0, 64], &mut batch),
-            Err(PcmError::AddressOutOfRange { la: 64, .. })
-        ));
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! The `srbsg-loadgen` binary: one open-loop load phase against a
-//! running `srbsg-server`, with a write-loss accounting report.
+//! running `srbsg-server`, summarised in one line.
 
-use std::path::PathBuf;
 use std::process::exit;
+use std::str::FromStr;
 use std::time::Duration;
 
 use srbsg_server::{run_load, Endpoint, LoadConfig};
@@ -16,110 +16,60 @@ USAGE:
 FLAGS:
     --connect ENDPOINT   tcp:HOST:PORT or uds:PATH (required)
     --lines N            logical device size (required)
-    --conns N            concurrent connections        [1]
-    --requests N         requests per connection       [1000]
-    --write-ratio F      fraction of writes in [0,1]   [0.5]
-    --gap-us US          pacing gap between issues     [50]
-    --window N           pipelining window             [8]
-    --seed S             deterministic mix seed        [0x10AD6E4E]
-    --tag-base N         tag offset (phase uniqueness) [0]
-    --wall-deadline-s S  give up after S seconds       [60]
-    --report PATH        write the phase report here   [stdout summary only]
+    --conns N            concurrent connections           [1]
+    --requests N         requests per connection          [1000]
+    --write-ratio F      fraction of writes in [0,1]      [0.5]
+    --rate R             offered requests/s, all conns    [1000]
+    --seed S             deterministic mix seed           [279801422]
+    --wall-deadline-s S  give up after S seconds          [60]
     -h, --help           this text
 
-The report is plain text: `key value` summary lines, then `a <la> <tag>`
-per last-acked write and `u <la> <tag>` per unresolved write.
+Prints one `key=value` summary line. Latencies are timed from each
+request's due time; p99/p999 print `-` without ten samples beyond them.
 ";
 
-fn parse_args() -> Result<(LoadConfig, Option<PathBuf>), String> {
+fn parse<T: FromStr>(flag: &str, raw: &str) -> Result<T, String> {
+    raw.parse()
+        .map_err(|_| format!("{flag}: cannot parse {raw:?}"))
+}
+
+fn parse_args() -> Result<LoadConfig, String> {
     let mut cfg = LoadConfig::default();
-    let mut report = None;
-    let mut endpoint = None;
-    let mut lines = None;
+    let (mut endpoint, mut lines) = (None, None);
     let mut args = std::env::args().skip(1);
-    let next = |args: &mut dyn Iterator<Item = String>, flag: &str| {
-        args.next().ok_or_else(|| format!("{flag} needs a value"))
-    };
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--connect" => endpoint = Some(Endpoint::parse(&next(&mut args, "--connect")?)?),
-            "--lines" => lines = Some(num(&next(&mut args, "--lines")?, "--lines")?),
-            "--conns" => cfg.conns = num(&next(&mut args, "--conns")?, "--conns")? as usize,
-            "--requests" => {
-                cfg.requests_per_conn = num(&next(&mut args, "--requests")?, "--requests")? as usize
-            }
-            "--write-ratio" => {
-                let raw = next(&mut args, "--write-ratio")?;
-                cfg.write_ratio = raw
-                    .parse()
-                    .map_err(|_| format!("--write-ratio must be a float, got {raw:?}"))?;
-                if !(0.0..=1.0).contains(&cfg.write_ratio) {
-                    return Err("--write-ratio must be in [0, 1]".into());
-                }
-            }
-            "--gap-us" => {
-                cfg.gap = Duration::from_micros(num(&next(&mut args, "--gap-us")?, "--gap-us")?)
-            }
-            "--window" => cfg.window = num(&next(&mut args, "--window")?, "--window")? as usize,
-            "--seed" => cfg.seed = num(&next(&mut args, "--seed")?, "--seed")?,
-            "--tag-base" => {
-                cfg.tag_base = num(&next(&mut args, "--tag-base")?, "--tag-base")? as u32
-            }
-            "--wall-deadline-s" => {
-                cfg.wall_deadline = Duration::from_secs(num(
-                    &next(&mut args, "--wall-deadline-s")?,
-                    "--wall-deadline-s",
-                )?)
-            }
-            "--report" => report = Some(PathBuf::from(next(&mut args, "--report")?)),
-            "-h" | "--help" => {
-                print!("{USAGE}");
-                exit(0);
-            }
+    while let Some(flag) = args.next() {
+        if flag == "-h" || flag == "--help" {
+            print!("{USAGE}");
+            exit(0);
+        }
+        let raw = args.next().ok_or_else(|| format!("{flag} needs a value"))?;
+        match flag.as_str() {
+            "--connect" => endpoint = Some(Endpoint::parse(&raw)?),
+            "--lines" => lines = Some(parse(&flag, &raw)?),
+            "--conns" => cfg.conns = parse(&flag, &raw)?,
+            "--requests" => cfg.requests_per_conn = parse(&flag, &raw)?,
+            "--write-ratio" => cfg.write_ratio = parse(&flag, &raw)?,
+            "--rate" => cfg.rate = parse(&flag, &raw)?,
+            "--seed" => cfg.seed = parse(&flag, &raw)?,
+            "--wall-deadline-s" => cfg.wall_deadline = Duration::from_secs(parse(&flag, &raw)?),
             other => return Err(format!("unknown flag {other:?} (try --help)")),
         }
     }
     cfg.endpoint = endpoint.ok_or("--connect is required")?;
     cfg.lines = lines.ok_or("--lines is required")?;
-    if cfg.conns == 0 || cfg.window == 0 {
-        return Err("--conns and --window must be at least 1".into());
-    }
-    Ok((cfg, report))
-}
-
-fn num(raw: &str, flag: &str) -> Result<u64, String> {
-    raw.parse()
-        .map_err(|_| format!("{flag} must be an integer, got {raw:?}"))
+    cfg.check()?;
+    Ok(cfg)
 }
 
 fn main() {
-    let (cfg, report_path) = match parse_args() {
-        Ok(v) => v,
+    let cfg = match parse_args() {
+        Ok(cfg) => cfg,
         Err(e) => {
             eprintln!("srbsg-loadgen: {e}");
             exit(2);
         }
     };
-    let rep = run_load(&cfg);
-    println!(
-        "srbsg-loadgen: sent={} acked_writes={} ok_reads={} errors={} reconnects={} p50_us={} p99_us={} p999_us={} goodput_rps={:.1}",
-        rep.sent,
-        rep.acked_writes,
-        rep.ok_reads,
-        rep.errors,
-        rep.reconnects,
-        rep.p_us(50.0),
-        rep.p_us(99.0),
-        rep.p_us(99.9),
-        rep.goodput_rps(),
-    );
-    if let Some(path) = report_path {
-        if let Err(e) = rep.write_to(&path) {
-            eprintln!("srbsg-loadgen: failed to write report: {e}");
-            exit(1);
-        }
-    }
     // Unresolved writes are legal (the phase may have ended mid-drain);
     // losing *acked* state is what the auditing restart detects.
-    exit(0);
+    println!("srbsg-loadgen: rate_rps={} {}", cfg.rate, run_load(&cfg));
 }

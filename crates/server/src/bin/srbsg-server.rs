@@ -29,10 +29,6 @@ FLAGS:
     --checkpoint-every K   journal checkpoint cadence  [128]
     -h, --help             this text
 
-ENV:
-    SRBSG_SERVER_JOBS      submit_batch worker threads [1]
-    SRBSG_SERVER_BATCH     engine batch coalescing cap [64]
-
 The server prints one line on startup:
     srbsg-server listening on <endpoint> pid=... generation=...
 and writes the bound endpoint and pid to <data-dir>/endpoint and

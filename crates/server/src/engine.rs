@@ -35,7 +35,7 @@
 //! disconnects → the engine runs [`FrontEnd::drain_checkpoint`], saves
 //! the shelf a final time, and the process exits 0.
 
-use std::io::Write as _;
+use std::io::{Read as _, Write as _};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{self, RecvTimeoutError, SyncSender, TrySendError};
@@ -60,7 +60,7 @@ use crate::shelf::{save_with_healing, BankShelf, DiskShelf, RetryPolicy, SaveOut
 /// The scheme stack a server bank runs.
 pub type ServerScheme = Journaled<SecurityRbsg>;
 
-/// Server configuration (CLI flags plus `SRBSG_SERVER_*` env knobs).
+/// Server configuration (the `srbsg-server` CLI flags).
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
     /// Listen endpoint.
@@ -114,8 +114,8 @@ impl Default for ServerConfig {
                 ..ServeConfig::default()
             },
             deadline_ns: None,
-            jobs: srbsg_workloads::env::usize_knob_or("SRBSG_SERVER_JOBS", 1, 1),
-            batch_max: srbsg_workloads::env::usize_knob_or("SRBSG_SERVER_BATCH", 1, 64),
+            jobs: 1,
+            batch_max: 64,
             inflight_max: 1024,
             max_conns: 64,
             idle_timeout: Duration::from_secs(30),
@@ -218,14 +218,17 @@ pub fn capture<S: JournaledScheme + Send>(
 
 /// Rebuild the front-end a shelved image describes, as the next power
 /// generation: every bank goes through **re-keyed** journal recovery (a
-/// fresh per-generation seed, exactly as the paper prescribes after a
-/// power cycle) and resumes the shelved clock. The caller commits the
-/// new-generation image; the report carries the counters to commit with
-/// (`generation`, `save_seq`) and what recovery did.
+/// fresh per-generation seed derived from `rekey_base`, exactly as the
+/// paper prescribes after a power cycle) and resumes the shelved clock.
+/// `rekey_base` must not be derivable from the shelf: [`boot`] draws it
+/// from the OS entropy pool and never writes it to media. The caller
+/// commits the new-generation image; the report carries the counters to
+/// commit with (`generation`, `save_seq`) and what recovery did.
 pub fn restore<S: JournaledScheme + Send>(
     state: &ShelfState,
     policy: CheckpointPolicy,
     serve: ServeConfig,
+    rekey_base: u64,
 ) -> std::io::Result<(FrontEnd<Journaled<S>>, BootReport)> {
     let generation = state.generation + 1;
     let mut report = BootReport {
@@ -238,7 +241,7 @@ pub fn restore<S: JournaledScheme + Send>(
     let mut banks = Vec::with_capacity(state.banks.len());
     for (b, bs) in state.banks.iter().enumerate() {
         let mut bank = bs.restore_bank(u64::MAX, TimingModel::PAPER);
-        let rekey = splitmix64(state.seed ^ (generation << 20) ^ b as u64);
+        let rekey = splitmix64(rekey_base ^ (generation << 20) ^ b as u64);
         let (jw, rec) =
             Journaled::<S>::recover_rekeyed_with_policy(&bs.store, &mut bank, rekey, policy)
                 .map_err(|e| {
@@ -257,9 +260,19 @@ pub fn restore<S: JournaledScheme + Send>(
     Ok((fe, report))
 }
 
+/// Eight bytes from the OS entropy pool. An error, never a predictable
+/// fallback: a re-key seed anyone can guess keeps the old mapping's
+/// secrecy no better than the shelf's.
+fn entropy_seed() -> std::io::Result<u64> {
+    let mut b = [0u8; 8];
+    std::fs::File::open("/dev/urandom")?.read_exact(&mut b)?;
+    Ok(u64::from_le_bytes(b))
+}
+
 /// Build a fresh device or recover the shelved one. On recovery the
-/// Security RBSG mapping is **re-keyed** (see [`restore`]), and the
-/// new-generation image is committed back to the shelf before serving.
+/// Security RBSG mapping is **re-keyed** from fresh entropy (see
+/// [`restore`]), and the new-generation image is committed back to the
+/// shelf before serving.
 pub fn boot(
     cfg: &ServerConfig,
 ) -> std::io::Result<(FrontEnd<ServerScheme>, DiskShelf, BootReport)> {
@@ -300,7 +313,7 @@ pub fn boot(
                         .unwrap_or_else(|| "unknown damage".into()),
                 );
             }
-            let (fe, mut report) = restore(&state, pol, cfg.serve)?;
+            let (fe, mut report) = restore(&state, pol, cfg.serve, entropy_seed()?)?;
             report.healed_shelf_slot = scrub.healed_slot.is_some();
             shelf.save(&capture(
                 &fe,
@@ -834,5 +847,61 @@ mod tests {
         // Re-keying physically moves lines into the fresh mapping.
         assert!(rep.rekey_movements > 0, "expected rekey movements");
         let _ = std::fs::remove_dir_all(&cfg.data_dir);
+    }
+
+    #[test]
+    fn recovery_rekeys_from_fresh_entropy_not_the_shelved_seed() {
+        let cfg = ServerConfig {
+            width: 8,
+            ..test_cfg(&format!("srbsg_entropy_{}", std::process::id()))
+        };
+        let twin = ServerConfig {
+            data_dir: cfg.data_dir.with_extension("twin"),
+            ..cfg.clone()
+        };
+        for dir in [&cfg.data_dir, &twin.data_dir] {
+            let _ = std::fs::remove_dir_all(dir);
+        }
+        drop(boot(&cfg).unwrap());
+        std::fs::create_dir_all(&twin.data_dir).unwrap();
+        for f in std::fs::read_dir(&cfg.data_dir).unwrap() {
+            let f = f.unwrap().path();
+            std::fs::copy(&f, twin.data_dir.join(f.file_name().unwrap())).unwrap();
+        }
+        let (state, _) = DiskShelf::open(&cfg.data_dir, false)
+            .unwrap()
+            .load()
+            .unwrap()
+            .expect("boot shelved the fresh image");
+        let mapping = |fe: &FrontEnd<ServerScheme>| -> Vec<u64> {
+            let per_bank = fe.system().logical_lines() / cfg.banks as u64;
+            fe.system()
+                .banks()
+                .iter()
+                .flat_map(|mc| (0..per_bank).map(|la| mc.translate(la)))
+                .collect()
+        };
+        let (from_shelf, _) =
+            restore::<SecurityRbsg>(&state, policy(&cfg), cfg.serve, state.seed).unwrap();
+        let (a, _, _) = boot(&cfg).unwrap();
+        let (b, _, _) = boot(&twin).unwrap();
+        assert_ne!(
+            mapping(&a),
+            mapping(&b),
+            "two boots of one image re-keyed alike"
+        );
+        assert_ne!(
+            mapping(&a),
+            mapping(&from_shelf),
+            "re-key predictable from the shelf"
+        );
+        assert_ne!(
+            mapping(&b),
+            mapping(&from_shelf),
+            "re-key predictable from the shelf"
+        );
+        for dir in [&cfg.data_dir, &twin.data_dir] {
+            let _ = std::fs::remove_dir_all(dir);
+        }
     }
 }

@@ -24,9 +24,11 @@
 //! * a **graceful drain** ([`engine::run`]): `SIGTERM` stops the accept
 //!   loop, drains in-flight work, checkpoints, and exits 0;
 //! * an **auditing load generator** ([`loadgen`]): open-loop seeded
-//!   traffic that retries writes until acknowledged and records exactly
-//!   which tags were acked vs left unresolved, so the chaos harness can
-//!   prove zero acknowledged writes were lost across kill–restart cycles.
+//!   traffic on a due-time schedule, with latency timed from each
+//!   request's due time, that retries writes until acknowledged and
+//!   records exactly which tags were acked vs left unresolved, so the
+//!   chaos harness can prove zero acknowledged writes were lost across
+//!   kill–restart cycles.
 
 pub mod client;
 pub mod engine;

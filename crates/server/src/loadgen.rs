@@ -1,20 +1,28 @@
 //! Open-loop load generator with write-loss accounting.
 //!
-//! One invocation drives one *phase* of load (the chaos harness runs
-//! several phases around kills and restarts). Each connection runs on its
-//! own thread, issues a seeded deterministic request mix at a configured
-//! pace with a bounded pipelining window, and — the part the audit relies
-//! on — **retries every write until it is acknowledged**, reconnecting
-//! with capped exponential backoff (the `srbsg-serve` jitter schedule,
-//! interpreted in wall-clock microseconds) when the server goes away.
+//! One [`run_load`] call drives one *phase* of load (the chaos harness runs
+//! several phases around kills and restarts). Requests are due on a fixed
+//! schedule, whatever the server does: request `i` of a phase at rate `r`
+//! is due `i / r` after the phase starts and goes out on connection
+//! `i mod conns`; its operation and address are a stateless hash of the
+//! seed and its index. Each connection thread sends everything that is
+//! due, then waits for a response or the next due time with
+//! [`os::wait_readable`]. Every latency is timed from the request's due
+//! time, also for a write resent after a reconnect, so a stall in the
+//! server or in the generator is charged to every request it delays; the
+//! generator reports its own lateness (send time minus due time) so that
+//! a generator that fell behind is visible rather than hidden.
 //!
 //! # Write-loss audit model
 //!
-//! * Connection `c` of `n` only ever writes addresses `la % n == c`, so
-//!   every address has a single writer and "last write" is well defined.
-//! * Every write carries a unique tag (`conn << 24 | seq`) as its
-//!   [`LineData::Mixed`] payload.
-//! * The phase report records, per address, the tag of the **last
+//! * Connection `c` of `n` only ever addresses `la % n == c`, so every
+//!   address has a single writer and "last write" is well defined.
+//! * Every write carries a unique tag (its phase-global index plus one) as
+//!   its [`LineData::Mixed`] payload.
+//! * Writes are resent until acknowledged: after a retryable error (with
+//!   the `srbsg-serve` backoff schedule, read in microseconds) and, in
+//!   issue order, after a reconnect. The same backoff paces reconnects.
+//! * The report records, per address, the tag of the **last
 //!   acknowledged** write, plus the tags of writes that were issued but
 //!   never acknowledged (`unresolved` — the server may or may not have
 //!   applied them; both outcomes are legal).
@@ -25,15 +33,17 @@
 
 use std::collections::{HashMap, VecDeque};
 use std::io::Write as _;
-use std::path::Path;
 use std::time::{Duration, Instant};
 
 use srbsg_pcm::LineData;
 use srbsg_serve::{backoff_ns, percentile_ns, ServeConfig};
 use srbsg_workloads::splitmix64;
 
-use crate::client::{read_response, Endpoint};
-use crate::proto::{encode_request, ErrCode, FrameReader, RequestFrame, WireRequest, WireResponse};
+use crate::client::{Endpoint, Stream};
+use crate::os;
+use crate::proto::{
+    encode_request, ErrCode, FrameReader, RequestFrame, ResponseFrame, WireRequest, WireResponse,
+};
 
 /// Load-phase configuration.
 #[derive(Debug, Clone)]
@@ -48,14 +58,13 @@ pub struct LoadConfig {
     pub lines: u64,
     /// Fraction of requests that are writes.
     pub write_ratio: f64,
-    /// Open-loop pacing gap between issues, per connection.
-    pub gap: Duration,
-    /// Pipelining window (max outstanding requests per connection).
-    pub window: usize,
-    /// Base seed for the deterministic mix.
+    /// Offered load, requests per second over all connections.
+    pub rate: f64,
+    /// Seed of the address and operation draws.
     pub seed: u64,
-    /// Tag offset so tags stay unique across phases (low 24 bits).
-    pub tag_base: u32,
+    /// Index of the phase's first request. Tags derive from indices, so
+    /// phases of one server run that continue the indices share no tag.
+    pub first_index: u64,
     /// Give up on the whole phase after this long.
     pub wall_deadline: Duration,
 }
@@ -68,12 +77,59 @@ impl Default for LoadConfig {
             requests_per_conn: 1000,
             lines: 1024,
             write_ratio: 0.5,
-            gap: Duration::from_micros(50),
-            window: 8,
+            rate: 1000.0,
             seed: 0x10AD_6E4E,
-            tag_base: 0,
+            first_index: 0,
             wall_deadline: Duration::from_secs(60),
         }
+    }
+}
+
+impl LoadConfig {
+    /// Reject a configuration the schedule cannot run.
+    pub fn check(&self) -> Result<(), String> {
+        if !(1..=1024).contains(&self.conns) || self.lines < self.conns as u64 {
+            return Err("need 1 to 1024 connections and a line per connection".into());
+        }
+        let span = self.conns.saturating_mul(self.requests_per_conn) as f64 / self.rate;
+        if self.rate.is_nan() || self.rate <= 0.0 || Duration::try_from_secs_f64(span).is_err() {
+            return Err("the rate must be positive, and the schedule a valid duration".into());
+        }
+        if !(0.0..=1.0).contains(&self.write_ratio) {
+            return Err("the write ratio must be in [0, 1]".into());
+        }
+        Ok(())
+    }
+}
+
+/// One scheduled request.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Planned {
+    /// When it is due, from the phase start.
+    due: Duration,
+    /// The request itself.
+    req: WireRequest,
+}
+
+/// Request `i` of a phase (`i` counts from 0 over all connections; it
+/// goes out on connection `i mod conns`).
+pub(crate) fn planned(cfg: &LoadConfig, i: u64) -> Planned {
+    let conns = cfg.conns as u64;
+    let conn = i % conns;
+    let index = cfg.first_index + i;
+    let h = splitmix64(cfg.seed ^ splitmix64(index));
+    let la = conn + conns * ((h >> 11) % (cfg.lines / conns));
+    let req = if ((h & 0x3FF) as f64) < cfg.write_ratio * 1024.0 {
+        WireRequest::Write {
+            la,
+            data: LineData::Mixed((index as u32).wrapping_add(1)),
+        }
+    } else {
+        WireRequest::Read { la }
+    };
+    Planned {
+        due: Duration::from_secs_f64(i as f64 / cfg.rate),
+        req,
     }
 }
 
@@ -86,12 +142,14 @@ pub struct LoadReport {
     pub acked_writes: u64,
     /// Reads answered.
     pub ok_reads: u64,
-    /// Typed error responses received (all codes).
+    /// Typed error responses received, plus reads lost to a disconnect.
     pub errors: u64,
     /// Reconnects performed.
     pub reconnects: u64,
-    /// Wall-clock latencies of successful requests, microseconds, sorted.
-    pub latencies_us: Vec<u64>,
+    /// Every successful request: (due instant, latency from it), sorted.
+    pub samples: Vec<(Instant, Duration)>,
+    /// Send time minus due time of every first send, sorted.
+    pub late: Vec<Duration>,
     /// Wall time the phase took.
     pub elapsed: Duration,
     /// Last acknowledged write tag per address.
@@ -100,25 +158,43 @@ pub struct LoadReport {
     pub unresolved: HashMap<u64, Vec<u32>>,
 }
 
-impl LoadReport {
-    /// Latency percentile in microseconds (latencies must stay sorted).
-    pub fn p_us(&self, pct: f64) -> u64 {
-        if self.latencies_us.is_empty() {
-            return 0;
-        }
-        let ns: Vec<u128> = self.latencies_us.iter().map(|&v| v as u128).collect();
-        percentile_ns(&ns, pct) as u64
+/// Percentile `pct` of `sorted`, in µs, only when at least ten samples lie
+/// beyond it: a percentile with fewer is no tail.
+fn tail_us(sorted: &[Duration], pct: f64) -> Option<u64> {
+    if (sorted.len() as f64) * (1.0 - pct / 100.0) < 10.0 {
+        return None;
     }
+    let ns: Vec<u128> = sorted.iter().map(Duration::as_nanos).collect();
+    Some((percentile_ns(&ns, pct) / 1000) as u64)
+}
 
-    /// Successful responses per wall-clock second.
-    pub fn goodput_rps(&self) -> f64 {
-        let ok = (self.acked_writes + self.ok_reads) as f64;
-        let secs = self.elapsed.as_secs_f64();
-        if secs > 0.0 {
-            ok / secs
-        } else {
-            0.0
-        }
+impl LoadReport {
+    /// The phase's results by name, in µs where timed: latency from the
+    /// due time, then the generator's lateness. A percentile without ten
+    /// samples beyond it is `None`.
+    pub fn summary(&self) -> Vec<(&'static str, Option<String>)> {
+        let mut lat: Vec<Duration> = self.samples.iter().map(|s| s.1).collect();
+        lat.sort_unstable();
+        let us = |v: Option<u64>| v.map(|v| v.to_string());
+        let secs = self.elapsed.as_secs_f64().max(f64::MIN_POSITIVE);
+        let goodput = (self.acked_writes + self.ok_reads) as f64 / secs;
+        vec![
+            ("sent", Some(self.sent.to_string())),
+            ("samples", Some(self.samples.len().to_string())),
+            ("acked_writes", Some(self.acked_writes.to_string())),
+            ("ok_reads", Some(self.ok_reads.to_string())),
+            ("errors", Some(self.errors.to_string())),
+            ("reconnects", Some(self.reconnects.to_string())),
+            ("p50_us", us(tail_us(&lat, 50.0))),
+            ("p99_us", us(tail_us(&lat, 99.0))),
+            ("p999_us", us(tail_us(&lat, 99.9))),
+            ("late_p50_us", us(tail_us(&self.late, 50.0))),
+            (
+                "late_max_us",
+                self.late.last().map(|d| d.as_micros().to_string()),
+            ),
+            ("goodput_rps", Some(format!("{goodput:.1}"))),
+        ]
     }
 
     fn merge(&mut self, other: LoadReport) {
@@ -127,7 +203,9 @@ impl LoadReport {
         self.ok_reads += other.ok_reads;
         self.errors += other.errors;
         self.reconnects += other.reconnects;
-        self.latencies_us.extend(other.latencies_us);
+        self.samples.extend(other.samples);
+        self.late.extend(other.late);
+        self.elapsed = self.elapsed.max(other.elapsed);
         // Addresses are partitioned by connection, so plain extends are
         // collision-free.
         self.acked.extend(other.acked);
@@ -135,363 +213,420 @@ impl LoadReport {
             self.unresolved.entry(la).or_default().extend(tags);
         }
     }
+}
 
-    /// Serialize as a plain-text report: `key value` lines, then one
-    /// `a <la> <tag>` line per acked address and `u <la> <tag>` per
-    /// unresolved write.
-    pub fn write_to(&self, path: &Path) -> std::io::Result<()> {
-        let mut out = String::new();
-        out.push_str(&format!("sent {}\n", self.sent));
-        out.push_str(&format!("acked_writes {}\n", self.acked_writes));
-        out.push_str(&format!("ok_reads {}\n", self.ok_reads));
-        out.push_str(&format!("errors {}\n", self.errors));
-        out.push_str(&format!("reconnects {}\n", self.reconnects));
-        out.push_str(&format!("elapsed_us {}\n", self.elapsed.as_micros()));
-        out.push_str(&format!("p50_us {}\n", self.p_us(50.0)));
-        out.push_str(&format!("p99_us {}\n", self.p_us(99.0)));
-        out.push_str(&format!("p999_us {}\n", self.p_us(99.9)));
-        out.push_str(&format!("goodput_rps {:.1}\n", self.goodput_rps()));
-        let mut acked: Vec<_> = self.acked.iter().collect();
-        acked.sort();
-        for (la, tag) in acked {
-            out.push_str(&format!("a {la} {tag}\n"));
-        }
-        let mut unresolved: Vec<_> = self.unresolved.iter().collect();
-        unresolved.sort();
-        for (la, tags) in unresolved {
-            for tag in tags {
-                out.push_str(&format!("u {la} {tag}\n"));
-            }
-        }
-        let mut f = std::fs::File::create(path)?;
-        f.write_all(out.as_bytes())
-    }
-
-    /// Parse a report written by [`LoadReport::write_to`]. Summary fields
-    /// are restored; raw latencies are not (the percentiles are).
-    pub fn parse(text: &str) -> Result<(Self, HashMap<String, String>), String> {
-        let mut rep = LoadReport::default();
-        let mut kv = HashMap::new();
-        for line in text.lines() {
-            let mut it = line.split_whitespace();
-            match (it.next(), it.next(), it.next()) {
-                (Some("a"), Some(la), Some(tag)) => {
-                    rep.acked.insert(
-                        la.parse().map_err(|_| format!("bad la {la:?}"))?,
-                        tag.parse().map_err(|_| format!("bad tag {tag:?}"))?,
-                    );
-                }
-                (Some("u"), Some(la), Some(tag)) => {
-                    rep.unresolved
-                        .entry(la.parse().map_err(|_| format!("bad la {la:?}"))?)
-                        .or_default()
-                        .push(tag.parse().map_err(|_| format!("bad tag {tag:?}"))?);
-                }
-                (Some(k), Some(v), None) => {
-                    kv.insert(k.to_string(), v.to_string());
-                }
-                (None, _, _) => {}
-                _ => return Err(format!("unparseable report line {line:?}")),
-            }
-        }
-        let get = |k: &str| kv.get(k).and_then(|v| v.parse::<u64>().ok()).unwrap_or(0);
-        rep.sent = get("sent");
-        rep.acked_writes = get("acked_writes");
-        rep.ok_reads = get("ok_reads");
-        rep.errors = get("errors");
-        rep.reconnects = get("reconnects");
-        rep.elapsed = Duration::from_micros(get("elapsed_us"));
-        Ok((rep, kv))
+/// The [`LoadReport::summary`] as one line of `key=value` pairs, `-` for
+/// an absent percentile.
+impl std::fmt::Display for LoadReport {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let pairs: Vec<String> = (self.summary().into_iter())
+            .map(|(k, v)| format!("{k}={}", v.as_deref().unwrap_or("-")))
+            .collect();
+        f.write_str(&pairs.join(" "))
     }
 }
 
-/// Tiny deterministic RNG (splitmix64 stream) so the loadgen does not
-/// need the `rand` crate at runtime.
-struct Mix(u64);
+/// A request on its way, with the instant it was due.
+struct Job {
+    req: WireRequest,
+    due: Instant,
+}
 
-impl Mix {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        splitmix64(self.0)
-    }
-    fn below(&mut self, n: u64) -> u64 {
-        self.next() % n.max(1)
-    }
-    fn chance(&mut self, p: f64) -> bool {
-        (self.next() >> 11) as f64 / ((1u64 << 53) as f64) < p
+/// The address and tag of a write request.
+fn write_of(req: WireRequest) -> Option<(u64, u32)> {
+    match req {
+        WireRequest::Write {
+            la,
+            data: LineData::Mixed(tag),
+        } => Some((la, tag)),
+        _ => None,
     }
 }
 
-#[derive(Debug, Clone, Copy)]
-enum Pending {
-    Read { la: u64 },
-    Write { la: u64, tag: u32 },
-}
-
-struct ConnState {
-    stream: Option<crate::client::Stream>,
+/// One connection's state across reconnects.
+struct Conn<'a> {
+    cfg: &'a LoadConfig,
+    id: usize,
+    stream: Option<Stream>,
     reader: FrameReader,
-    scratch: Vec<u8>,
+    buf: Vec<u8>,
     next_req_id: u64,
-    /// In-order outstanding requests (req_id, op, first-issue instant).
-    outstanding: VecDeque<(u64, Pending, Instant)>,
-    /// Writes awaiting (re)send, in issue order.
-    resend: VecDeque<(u64, u32)>,
-    reconnect_attempt: u32,
-    /// Whether a connection has ever been established: any later
-    /// successful connect is a reconnect, even one that needed no
-    /// backoff (a fast drain–restart cycle).
-    connected_before: bool,
+    /// Requests on the wire, in send order.
+    outstanding: VecDeque<(u64, Job)>,
+    /// Writes awaiting a resend, in issue order.
+    resend: VecDeque<Job>,
+    /// Failed connects or retryable errors since the last success.
+    attempt: u32,
+    /// No reconnect or resend before this instant.
+    retry_at: Instant,
+    /// Successful connects; all but the first are reconnects, even one
+    /// that needed no backoff (a fast drain–restart cycle).
+    connects: u64,
+    rep: LoadReport,
 }
 
-fn conn_phase(cfg: &LoadConfig, conn_id: usize) -> LoadReport {
-    let started = Instant::now();
-    let deadline = started + cfg.wall_deadline;
-    let mut rng = Mix(splitmix64(cfg.seed ^ conn_id as u64));
-    let backoff_cfg = ServeConfig::default();
-    let mut rep = LoadReport::default();
-    let mut st = ConnState {
+impl Conn<'_> {
+    fn back_off(&mut self, now: Instant) {
+        self.attempt = self.attempt.saturating_add(1);
+        let backoff = ServeConfig::default();
+        // The serve-crate backoff schedule, ns read as µs.
+        let us = backoff_ns(&backoff, self.id as u64, self.attempt).min(50_000) as u64;
+        self.retry_at = now + Duration::from_micros(us);
+    }
+
+    fn connect(&mut self, now: Instant) {
+        match self.cfg.endpoint.connect(Duration::from_millis(500)) {
+            Ok(s) if s.set_write_timeout(Some(Duration::from_secs(2))).is_ok() => {
+                self.stream = Some(s);
+                self.connects += 1;
+                self.attempt = 0;
+                self.retry_at = now;
+            }
+            _ => self.back_off(now),
+        }
+    }
+
+    /// Outstanding writes go back to the front of the resend queue *in
+    /// order*; outstanding reads are abandoned (reads carry no audit
+    /// state).
+    fn disconnect(&mut self) {
+        if let Some(s) = self.stream.take() {
+            s.shutdown();
+        }
+        self.reader = FrameReader::new();
+        while let Some((_, job)) = self.outstanding.pop_back() {
+            match write_of(job.req) {
+                Some(_) => self.resend.push_front(job),
+                None => self.rep.errors += 1,
+            }
+        }
+    }
+
+    /// Queue `job` in the send buffer.
+    fn push(&mut self, job: Job) {
+        let req_id = self.next_req_id;
+        self.next_req_id += 1;
+        encode_request(
+            &mut self.buf,
+            &RequestFrame {
+                req_id,
+                req: job.req,
+            },
+        );
+        self.outstanding.push_back((req_id, job));
+    }
+
+    fn on_response(&mut self, frame: ResponseFrame, recv: Instant) {
+        let Some(pos) = self.outstanding.iter().position(|o| o.0 == frame.req_id) else {
+            return; // stale or unsolicited; ignore
+        };
+        let (_, job) = self.outstanding.remove(pos).expect("position is in range");
+        let sample = (job.due, recv.saturating_duration_since(job.due));
+        match (frame.resp, write_of(job.req)) {
+            (WireResponse::WriteOk { .. }, Some((la, tag))) => {
+                self.rep.acked_writes += 1;
+                self.rep.acked.insert(la, tag);
+                self.rep.samples.push(sample);
+                self.attempt = 0;
+            }
+            (WireResponse::ReadOk { .. }, None) => {
+                self.rep.ok_reads += 1;
+                self.rep.samples.push(sample);
+            }
+            (WireResponse::Err { code, .. }, write) => {
+                self.rep.errors += 1;
+                match write {
+                    Some(_) if code.retryable() => {
+                        self.resend.push_back(job);
+                        self.back_off(recv);
+                    }
+                    Some((la, tag)) => self.rep.unresolved.entry(la).or_default().push(tag),
+                    None => {}
+                }
+                if code == ErrCode::ShuttingDown {
+                    // The server is draining; let it finish, then retry.
+                    self.disconnect();
+                    self.retry_at = recv + Duration::from_millis(20);
+                }
+            }
+            _ => self.rep.errors += 1,
+        }
+    }
+}
+
+fn raw_fd(stream: &Stream) -> i32 {
+    use std::os::fd::AsRawFd;
+    match stream {
+        Stream::Tcp(s) => s.as_raw_fd(),
+        Stream::Unix(s) => s.as_raw_fd(),
+    }
+}
+
+fn run_conn(cfg: &LoadConfig, id: usize, start: Instant) -> LoadReport {
+    os::tighten_timer_slack();
+    let deadline = start + cfg.wall_deadline;
+    let n = cfg.requests_per_conn;
+    let plan = |k: usize| planned(cfg, (k * cfg.conns + id) as u64);
+    let mut c = Conn {
+        cfg,
+        id,
         stream: None,
         reader: FrameReader::new(),
-        scratch: Vec::with_capacity(64),
+        buf: Vec::with_capacity(4096),
         next_req_id: 1,
         outstanding: VecDeque::new(),
         resend: VecDeque::new(),
-        reconnect_attempt: 0,
-        connected_before: false,
+        attempt: 0,
+        retry_at: start,
+        connects: 0,
+        rep: LoadReport::default(),
     };
-    let owned = |r: &mut Mix| {
-        let n = cfg.conns as u64;
-        let la = r.below(cfg.lines / n.max(1)) * n + conn_id as u64;
-        la.min(cfg.lines - 1)
-    };
-    let mut issued = 0usize;
-    let mut seq: u32 = 0;
-    let mut next_issue = Instant::now();
-
-    let disconnect = |st: &mut ConnState, rep: &mut LoadReport| {
-        if let Some(s) = st.stream.take() {
-            s.shutdown();
-        }
-        st.reader = FrameReader::new();
-        // Outstanding writes go back to the resend queue *in order*;
-        // outstanding reads are abandoned (reads carry no audit state).
-        let mut back: VecDeque<(u64, u32)> = VecDeque::new();
-        while let Some((_, p, _)) = st.outstanding.pop_front() {
-            match p {
-                Pending::Write { la, tag } => back.push_back((la, tag)),
-                Pending::Read { .. } => rep.errors += 1,
-            }
-        }
-        while let Some(j) = back.pop_back() {
-            st.resend.push_front(j);
-        }
-    };
-
+    // Requests of this connection sent at least once.
+    let mut next = 0;
     loop {
-        let done_issuing = issued >= cfg.requests_per_conn;
-        if done_issuing && st.outstanding.is_empty() && st.resend.is_empty() {
+        let now = Instant::now();
+        if next == n && c.outstanding.is_empty() && c.resend.is_empty() || now >= deadline {
             break;
         }
-        if Instant::now() >= deadline {
-            break;
-        }
-
-        // (Re)connect with capped exponential backoff + seeded jitter.
-        if st.stream.is_none() {
-            match cfg.endpoint.connect(Duration::from_millis(500)) {
-                Ok(s) => {
-                    let _ = s.set_write_timeout(Some(Duration::from_secs(2)));
-                    st.stream = Some(s);
-                    if st.connected_before {
-                        rep.reconnects += 1;
-                    }
-                    st.connected_before = true;
-                    st.reconnect_attempt = 0;
-                }
-                Err(_) => {
-                    st.reconnect_attempt = st.reconnect_attempt.saturating_add(1);
-                    // The serve-crate backoff schedule, ns read as µs.
-                    let us = backoff_ns(&backoff_cfg, conn_id as u64, st.reconnect_attempt)
-                        .min(50_000) as u64;
-                    std::thread::sleep(Duration::from_micros(us));
-                    continue;
-                }
-            }
-        }
-
-        // Issue while the window and pacing allow.
-        while st.outstanding.len() < cfg.window
-            && st.stream.is_some()
-            && Instant::now() >= next_issue
-        {
-            let job = if let Some((la, tag)) = st.resend.pop_front() {
-                Pending::Write { la, tag }
-            } else if !done_issuing && issued < cfg.requests_per_conn {
-                issued += 1;
-                rep.sent += 1;
-                if rng.chance(cfg.write_ratio) {
-                    seq += 1;
-                    let tag =
-                        ((conn_id as u32) << 24) | (cfg.tag_base.wrapping_add(seq) & 0x00FF_FFFF);
-                    Pending::Write {
-                        la: owned(&mut rng),
-                        tag,
-                    }
-                } else {
-                    Pending::Read {
-                        la: rng.below(cfg.lines),
-                    }
-                }
+        if c.stream.is_none() {
+            if now < c.retry_at {
+                std::thread::sleep(c.retry_at.min(deadline) - now);
             } else {
-                break;
-            };
-            let req_id = st.next_req_id;
-            st.next_req_id += 1;
-            let req = match job {
-                Pending::Read { la } => WireRequest::Read { la },
-                Pending::Write { la, tag } => WireRequest::Write {
-                    la,
-                    data: LineData::Mixed(tag),
-                },
-            };
-            st.scratch.clear();
-            encode_request(&mut st.scratch, &RequestFrame { req_id, req });
-            let stream = st.stream.as_mut().unwrap();
-            if stream.write_all(&st.scratch).is_err() {
-                disconnect(&mut st, &mut rep);
-                break;
+                c.connect(now);
             }
-            st.outstanding.push_back((req_id, job, Instant::now()));
-            next_issue = Instant::now() + cfg.gap;
+            continue;
         }
 
-        // Collect one response (short poll keeps the loop responsive).
-        let Some(stream) = st.stream.as_mut() else {
-            continue;
-        };
-        let poll = Instant::now() + Duration::from_millis(1);
-        match read_response(stream, &mut st.reader, poll) {
-            Ok(resp) => {
-                let Some(pos) = st
-                    .outstanding
-                    .iter()
-                    .position(|(id, _, _)| *id == resp.req_id)
-                else {
-                    continue; // stale or unsolicited; ignore
-                };
-                let (_, job, issue_t) = st.outstanding.remove(pos).unwrap();
-                match (resp.resp, job) {
-                    (WireResponse::WriteOk { .. }, Pending::Write { la, tag }) => {
-                        rep.acked_writes += 1;
-                        rep.acked.insert(la, tag);
-                        rep.latencies_us
-                            .push(issue_t.elapsed().as_micros().min(u64::MAX as u128) as u64);
-                    }
-                    (WireResponse::ReadOk { .. }, Pending::Read { .. }) => {
-                        rep.ok_reads += 1;
-                        rep.latencies_us
-                            .push(issue_t.elapsed().as_micros().min(u64::MAX as u128) as u64);
-                    }
-                    (WireResponse::Err { code, .. }, job) => {
-                        rep.errors += 1;
-                        if let Pending::Write { la, tag } = job {
-                            if code.retryable() {
-                                st.resend.push_back((la, tag));
-                            } else {
-                                rep.unresolved.entry(la).or_default().push(tag);
-                            }
-                        }
-                        if code == ErrCode::ShuttingDown {
-                            // Server is draining; let it finish, then retry.
-                            disconnect(&mut st, &mut rep);
-                            std::thread::sleep(Duration::from_millis(20));
-                        }
-                    }
-                    _ => rep.errors += 1,
-                }
+        // Send everything due: pending resends first, then new requests.
+        c.buf.clear();
+        if now >= c.retry_at {
+            while let Some(job) = c.resend.pop_front() {
+                c.push(job);
             }
-            Err(e) if e.kind() == std::io::ErrorKind::TimedOut => {}
-            Err(_) => disconnect(&mut st, &mut rep),
+        }
+        while next < n {
+            let p = plan(next);
+            let due = start + p.due;
+            if due > now {
+                break;
+            }
+            c.rep.late.push(now - due);
+            c.rep.sent += 1;
+            c.push(Job { req: p.req, due });
+            next += 1;
+        }
+        let stream = c.stream.as_mut().expect("connected above");
+        if !c.buf.is_empty() && stream.write_all(&c.buf).is_err() {
+            c.disconnect();
+            continue;
+        }
+
+        // Wait for a response until the next send is due.
+        let mut wake = if next < n {
+            start + plan(next).due
+        } else {
+            deadline
+        };
+        if !c.resend.is_empty() {
+            wake = wake.min(c.retry_at);
+        }
+        let now = Instant::now();
+        if wake <= now {
+            continue;
+        }
+        let got = match os::wait_readable(raw_fd(stream), wake - now) {
+            Ok(false) => continue,
+            Ok(true) => c.reader.fill_from(stream),
+            Err(e) => Err(e),
+        };
+        match got {
+            Ok(read) if read > 0 => {}
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+            _ => {
+                // Closed by the server, or a socket error.
+                c.disconnect();
+                continue;
+            }
+        }
+        let recv = Instant::now();
+        loop {
+            match c.reader.next_response() {
+                Ok(Some(frame)) => c.on_response(frame, recv),
+                Ok(None) => break,
+                Err(_) => break c.disconnect(),
+            }
         }
     }
 
     // Whatever never got acknowledged is unresolved.
-    while let Some((_, p, _)) = st.outstanding.pop_front() {
-        if let Pending::Write { la, tag } = p {
+    let mut rep = c.rep;
+    for job in c.outstanding.into_iter().map(|o| o.1).chain(c.resend) {
+        if let Some((la, tag)) = write_of(job.req) {
             rep.unresolved.entry(la).or_default().push(tag);
         }
     }
-    while let Some((la, tag)) = st.resend.pop_front() {
-        rep.unresolved.entry(la).or_default().push(tag);
-    }
-    if let Some(s) = st.stream.take() {
+    if let Some(s) = c.stream {
         s.shutdown();
     }
-    rep.elapsed = started.elapsed();
+    rep.reconnects = c.connects.saturating_sub(1);
+    rep.elapsed = start.elapsed();
     rep
 }
 
-/// Run one load phase: `cfg.conns` threads, merged report.
+/// Run one load phase: one thread per connection, merged report.
+/// Panics on a configuration [`LoadConfig::check`] rejects.
 pub fn run_load(cfg: &LoadConfig) -> LoadReport {
-    let handles: Vec<_> = (0..cfg.conns)
-        .map(|c| {
-            let cfg = cfg.clone();
-            std::thread::spawn(move || conn_phase(&cfg, c))
-        })
-        .collect();
-    let mut merged = LoadReport::default();
-    let mut max_elapsed = Duration::ZERO;
-    for h in handles {
-        if let Ok(rep) = h.join() {
-            max_elapsed = max_elapsed.max(rep.elapsed);
-            merged.merge(rep);
-        }
+    if let Err(e) = cfg.check() {
+        panic!("invalid load configuration: {e}");
     }
-    merged.elapsed = max_elapsed;
-    merged.latencies_us.sort_unstable();
+    let start = Instant::now();
+    let mut merged = std::thread::scope(|s| {
+        let handles: Vec<_> = (0..cfg.conns)
+            .map(|c| s.spawn(move || run_conn(cfg, c, start)))
+            .collect();
+        let mut merged = LoadReport::default();
+        for h in handles {
+            merged.merge(h.join().expect("load connection thread panicked"));
+        }
+        merged
+    });
+    merged.samples.sort_unstable();
+    merged.late.sort_unstable();
     merged
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::proto::encode_response;
 
     #[test]
-    fn report_roundtrips_through_text() {
-        let mut rep = LoadReport {
-            sent: 10,
-            acked_writes: 6,
-            ok_reads: 3,
-            errors: 1,
-            reconnects: 2,
-            latencies_us: vec![5, 10, 20, 100],
-            elapsed: Duration::from_micros(12345),
-            ..LoadReport::default()
+    fn schedule_partitions_addresses_is_deterministic_and_honours_the_write_ratio() {
+        let cfg = |seed, write_ratio| LoadConfig {
+            conns: 3,
+            lines: 1000,
+            write_ratio,
+            rate: 500.0,
+            seed,
+            first_index: 100,
+            ..LoadConfig::default()
         };
-        rep.acked.insert(7, 0x0100_0001);
-        rep.acked.insert(9, 0x0100_0002);
-        rep.unresolved.entry(9).or_default().push(0x0100_0003);
-        let path = std::env::temp_dir().join(format!("srbsg_lg_{}.txt", std::process::id()));
-        rep.write_to(&path).unwrap();
-        let text = std::fs::read_to_string(&path).unwrap();
-        let (got, kv) = LoadReport::parse(&text).unwrap();
-        assert_eq!(got.sent, 10);
-        assert_eq!(got.acked_writes, 6);
-        assert_eq!(got.acked.get(&7), Some(&0x0100_0001));
-        assert_eq!(got.unresolved.get(&9).unwrap(), &vec![0x0100_0003]);
-        assert_eq!(kv.get("p50_us").unwrap(), "10");
-        let _ = std::fs::remove_file(&path);
+        let plan = |cfg: LoadConfig| (0..6000).map(|i| planned(&cfg, i)).collect::<Vec<_>>();
+        let writes = |plan: &[Planned]| plan.iter().filter_map(|p| write_of(p.req)).count();
+        let a = plan(cfg(7, 0.3));
+        for (i, p) in a.iter().enumerate() {
+            let (WireRequest::Read { la } | WireRequest::Write { la, .. }) = p.req else {
+                panic!("the schedule planned {:?}", p.req);
+            };
+            assert_eq!(la % 3, (i % 3) as u64, "address {la} of request {i}");
+            assert!(la < 1000);
+            assert_eq!(p.due, Duration::from_secs_f64(i as f64 / 500.0));
+            if let Some((_, tag)) = write_of(p.req) {
+                assert_eq!(tag, 100 + i as u32 + 1, "tag = index + 1");
+            }
+        }
+        assert_eq!(a, plan(cfg(7, 0.3)));
+        assert_ne!(a, plan(cfg(8, 0.3)));
+        // 1 800 expected; the bounds are four standard deviations out.
+        assert!((1650..1950).contains(&writes(&a)), "{} writes", writes(&a));
+        assert_eq!(writes(&plan(cfg(7, 0.0))), 0);
+        assert_eq!(writes(&plan(cfg(7, 1.0))), 6000);
+        assert!(cfg(7, 0.3).check().is_ok());
+        for bad in [
+            cfg(7, 1.5),
+            LoadConfig {
+                rate: 0.0,
+                ..cfg(7, 0.3)
+            },
+        ] {
+            assert!(bad.check().is_err(), "{bad:?} accepted");
+        }
     }
 
-    #[test]
-    fn mix_rng_is_deterministic_and_spread() {
-        let mut a = Mix(splitmix64(42));
-        let mut b = Mix(splitmix64(42));
-        for _ in 0..100 {
-            assert_eq!(a.next(), b.next());
+    /// Answer requests on `stream` at once until the client closes it or
+    /// `limit` have been answered.
+    fn answer(stream: &mut Stream, limit: usize) {
+        let mut reader = FrameReader::new();
+        let mut buf = Vec::new();
+        let mut answered = 0;
+        while answered < limit && matches!(reader.fill_from(stream), Ok(n) if n > 0) {
+            buf.clear();
+            while let Some(frame) = reader.next_request().expect("well-formed requests") {
+                let resp = match frame.req {
+                    WireRequest::Read { .. } => WireResponse::ReadOk {
+                        data: LineData::Zeros,
+                        latency_ns: 0,
+                    },
+                    _ => WireResponse::WriteOk {
+                        retries: 0,
+                        latency_ns: 0,
+                    },
+                };
+                let req_id = frame.req_id;
+                encode_response(&mut buf, &ResponseFrame { req_id, resp });
+                answered += 1;
+            }
+            if stream.write_all(&buf).is_err() {
+                return;
+            }
         }
-        let hits = (0..1000).filter(|_| a.chance(0.3)).count();
-        assert!((200..400).contains(&hits), "chance(0.3) gave {hits}/1000");
+    }
+
+    /// A server that goes away for 50 ms is a stall the generator cannot
+    /// send through: requests due during it go out only after the
+    /// reconnect. Timed from the due time, each is charged the rest of the
+    /// stall; timed from the send, each would read a round trip.
+    #[test]
+    fn a_stall_is_charged_to_every_request_due_during_it() {
+        let sock = std::env::temp_dir().join(format!("srbsg_lg_stall_{}.sock", std::process::id()));
+        let ep = Endpoint::Uds(sock.clone());
+        let (listener, _) = ep.listen().unwrap();
+        let cfg = LoadConfig {
+            endpoint: ep.clone(),
+            requests_per_conn: 300,
+            lines: 64,
+            rate: 1000.0,
+            wall_deadline: Duration::from_secs(30),
+            ..LoadConfig::default()
+        };
+        let (rep, (stall_from, stall_to)) = std::thread::scope(|s| {
+            let server = s.spawn(move || {
+                let mut conn = listener.accept().unwrap();
+                answer(&mut conn, 100);
+                // Unreachable first, then closed: the client's reconnects
+                // fail until the listener is back.
+                drop(listener);
+                std::fs::remove_file(&sock).unwrap();
+                conn.shutdown();
+                let from = Instant::now();
+                std::thread::sleep(Duration::from_millis(50));
+                let (listener, _) = ep.listen().unwrap();
+                let to = Instant::now();
+                answer(&mut listener.accept().unwrap(), usize::MAX);
+                let _ = std::fs::remove_file(&sock);
+                (from, to)
+            });
+            let rep = run_load(&cfg);
+            (rep, server.join().unwrap())
+        });
+        assert_eq!(rep.reconnects, 1);
+        assert!(rep.unresolved.is_empty(), "every write resent until acked");
+        let mut during = 0;
+        for &(due, latency) in &rep.samples {
+            if due >= stall_from && due <= stall_to {
+                during += 1;
+                assert!(
+                    due + latency + Duration::from_millis(1) >= stall_to,
+                    "a request due {:?} into the stall reported {latency:?}",
+                    due - stall_from
+                );
+            }
+        }
+        assert!(
+            during >= 40,
+            "only {during} samples were due during the stall"
+        );
+        let late_max = *rep.late.last().unwrap();
+        assert!(late_max >= stall_to - stall_from - Duration::from_millis(1));
     }
 }

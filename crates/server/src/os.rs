@@ -1,15 +1,23 @@
-//! Minimal Unix signal plumbing, using the libc symbols the Rust
-//! standard library already links — no external crate needed.
+//! Minimal Unix plumbing, using the libc symbols the Rust standard
+//! library already links — no external crate needed.
 //!
 //! The server installs handlers for `SIGTERM`/`SIGINT` that do nothing
 //! but set an atomic flag; the accept loop polls it and starts the
 //! graceful drain. `SIGKILL` cannot be handled by design — surviving it
 //! is the persistence layer's job, which the chaos harness exercises by
 //! sending real `SIGKILL`s to a real process.
+//!
+//! The load generator waits for its socket with [`wait_readable`]
+//! (Linux `ppoll`, nanosecond timeout) under 1 ns timer slack
+//! ([`tighten_timer_slack`]); `SO_RCVTIMEO` and `poll` both round a wait
+//! up to a scheduler tick or a millisecond.
 
 #![allow(missing_docs)]
 
+use std::io;
+use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::time::Duration;
 
 /// Graceful-shutdown request codes.
 pub const SIGINT: i32 = 2;
@@ -83,6 +91,88 @@ pub fn own_pid() -> u32 {
     {
         std::process::id()
     }
+}
+
+#[repr(C)]
+struct PollFd {
+    fd: i32,
+    events: i16,
+    revents: i16,
+}
+
+#[repr(C)]
+struct Timespec {
+    tv_sec: i64,
+    tv_nsec: i64,
+}
+
+#[cfg(target_os = "linux")]
+extern "C" {
+    fn ppoll(fds: *mut PollFd, nfds: u64, timeout: *const Timespec, sigmask: *const u8) -> i32;
+    fn prctl(option: i32, ...) -> i32;
+}
+
+/// Block until `fd` is readable (or hung up) or `timeout` passes;
+/// `Ok(false)` on timeout or signal interruption.
+#[cfg(target_os = "linux")]
+pub fn wait_readable(fd: i32, timeout: Duration) -> io::Result<bool> {
+    const POLLIN: i16 = 0x1;
+    let mut pfd = PollFd {
+        fd,
+        events: POLLIN,
+        revents: 0,
+    };
+    let ts = Timespec {
+        tv_sec: timeout.as_secs() as i64,
+        tv_nsec: timeout.subsec_nanos() as i64,
+    };
+    // SAFETY: `pfd` and `ts` are valid for the duration of the call, nfds
+    // is 1 to match the single entry, and a null sigmask leaves the signal
+    // mask unchanged.
+    let n = unsafe { ppoll(&mut pfd, 1, &ts, std::ptr::null()) };
+    if n < 0 {
+        let e = io::Error::last_os_error();
+        return if e.kind() == io::ErrorKind::Interrupted {
+            Ok(false)
+        } else {
+            Err(e)
+        };
+    }
+    Ok(n > 0)
+}
+
+/// Drop the calling thread's timer slack from the default 50 µs to 1 ns,
+/// so a timed wait wakes when asked, not up to 50 µs late.
+#[cfg(target_os = "linux")]
+pub fn tighten_timer_slack() {
+    const PR_SET_TIMERSLACK: i32 = 29;
+    // SAFETY: PR_SET_TIMERSLACK takes a plain integer and touches no
+    // caller memory; a failure only leaves the default slack in place.
+    unsafe {
+        prctl(PR_SET_TIMERSLACK, 1u64);
+    }
+}
+
+/// The type of the filesystem holding `path`: the `fstype` of the
+/// longest mount point in `/proc/self/mountinfo` that contains it.
+#[cfg(target_os = "linux")]
+pub fn fs_type(path: &Path) -> io::Result<String> {
+    let path = path.canonicalize()?;
+    let mounts = std::fs::read_to_string("/proc/self/mountinfo")?;
+    // Each line: `id parent dev root mount-point options ... - fstype ...`.
+    let mount = |line: &str| {
+        let (fields, rest) = line.split_once(" - ")?;
+        let point = fields.split(' ').nth(4)?;
+        let fs = rest.split(' ').next()?;
+        path.starts_with(point)
+            .then(|| (point.len(), fs.to_string()))
+    };
+    mounts
+        .lines()
+        .filter_map(mount)
+        .max_by_key(|m| m.0) // the last of equal mount points shadows the rest
+        .map(|(_, fs)| fs)
+        .ok_or_else(|| io::Error::other("no mount point contains the path"))
 }
 
 #[cfg(test)]
