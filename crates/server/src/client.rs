@@ -193,6 +193,33 @@ impl Stream {
             }
         }
     }
+
+    /// Block until a read would not block (data or a close) or `timeout`
+    /// passes; `Ok(false)` on timeout or signal interruption. Unix waits
+    /// in [`crate::os::wait_readable`]; elsewhere a `peek` under a read
+    /// timeout stands in.
+    pub fn wait_readable(&self, timeout: Duration) -> io::Result<bool> {
+        #[cfg(unix)]
+        {
+            use std::os::fd::AsRawFd;
+            let fd = match self {
+                Stream::Tcp(s) => s.as_raw_fd(),
+                Stream::Unix(s) => s.as_raw_fd(),
+            };
+            crate::os::wait_readable(fd, timeout)
+        }
+        #[cfg(not(unix))]
+        {
+            use io::ErrorKind::{Interrupted, TimedOut, WouldBlock};
+            let Stream::Tcp(s) = self;
+            s.set_read_timeout(Some(timeout.max(Duration::from_millis(1))))?;
+            match s.peek(&mut [0u8]) {
+                Ok(_) => Ok(true),
+                Err(e) if matches!(e.kind(), WouldBlock | TimedOut | Interrupted) => Ok(false),
+                Err(e) => Err(e),
+            }
+        }
+    }
 }
 
 impl Read for Stream {

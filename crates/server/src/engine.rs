@@ -691,10 +691,10 @@ pub fn run(cfg: ServerConfig) -> std::io::Result<i32> {
     let (listener, bound) = cfg.endpoint.listen()?;
     listener.set_nonblocking(true)?;
     std::fs::write(shelf.sidecar("endpoint"), bound.to_string())?;
-    std::fs::write(shelf.sidecar("pid"), os::own_pid().to_string())?;
+    std::fs::write(shelf.sidecar("pid"), std::process::id().to_string())?;
     println!(
         "srbsg-server listening on {bound} pid={} generation={} recovered={} replayed_steps={} rekey_movements={} lines={}",
-        os::own_pid(),
+        std::process::id(),
         boot_report.generation,
         boot_report.recovered,
         boot_report.replayed_steps,

@@ -7,8 +7,8 @@
 //! `i mod conns`; its operation and address are a stateless hash of the
 //! seed and its index. Each connection thread sends everything that is
 //! due, then waits for a response or the next due time with
-//! [`os::wait_readable`]. Every latency is timed from the request's due
-//! time, also for a write resent after a reconnect, so a stall in the
+//! [`Stream::wait_readable`]. Every latency is timed from the request's due
+//! time, also for a request resent after a reconnect, so a stall in the
 //! server or in the generator is charged to every request it delays; the
 //! generator reports its own lateness (send time minus due time) so that
 //! a generator that fell behind is visible rather than hidden.
@@ -19,9 +19,10 @@
 //!   address has a single writer and "last write" is well defined.
 //! * Every write carries a unique tag (its phase-global index plus one) as
 //!   its [`LineData::Mixed`] payload.
-//! * Writes are resent until acknowledged: after a retryable error (with
-//!   the `srbsg-serve` backoff schedule, read in microseconds) and, in
-//!   issue order, after a reconnect. The same backoff paces reconnects.
+//! * Every request on the wire at a disconnect is resent, in issue order
+//!   and with its original due time, after the reconnect; a write is also
+//!   resent after a retryable error (with the `srbsg-serve` backoff
+//!   schedule, read in microseconds). The same backoff paces reconnects.
 //! * The report records, per address, the tag of the **last
 //!   acknowledged** write, plus the tags of writes that were issued but
 //!   never acknowledged (`unresolved` — the server may or may not have
@@ -142,16 +143,15 @@ pub struct LoadReport {
     pub acked_writes: u64,
     /// Reads answered.
     pub ok_reads: u64,
-    /// Typed error responses received, plus reads lost to a disconnect.
+    /// Typed error responses received, plus reads still unanswered at the
+    /// end of the phase.
     pub errors: u64,
     /// Reconnects performed.
     pub reconnects: u64,
-    /// Every successful request: (due instant, latency from it), sorted.
+    /// Every successful request: (due instant, latency from it).
     pub samples: Vec<(Instant, Duration)>,
     /// Send time minus due time of every first send, sorted.
     pub late: Vec<Duration>,
-    /// Wall time the phase took.
-    pub elapsed: Duration,
     /// Last acknowledged write tag per address.
     pub acked: HashMap<u64, u32>,
     /// Issued-but-never-acknowledged write tags per address.
@@ -176,8 +176,6 @@ impl LoadReport {
         let mut lat: Vec<Duration> = self.samples.iter().map(|s| s.1).collect();
         lat.sort_unstable();
         let us = |v: Option<u64>| v.map(|v| v.to_string());
-        let secs = self.elapsed.as_secs_f64().max(f64::MIN_POSITIVE);
-        let goodput = (self.acked_writes + self.ok_reads) as f64 / secs;
         vec![
             ("sent", Some(self.sent.to_string())),
             ("samples", Some(self.samples.len().to_string())),
@@ -193,7 +191,6 @@ impl LoadReport {
                 "late_max_us",
                 self.late.last().map(|d| d.as_micros().to_string()),
             ),
-            ("goodput_rps", Some(format!("{goodput:.1}"))),
         ]
     }
 
@@ -205,7 +202,6 @@ impl LoadReport {
         self.reconnects += other.reconnects;
         self.samples.extend(other.samples);
         self.late.extend(other.late);
-        self.elapsed = self.elapsed.max(other.elapsed);
         // Addresses are partitioned by connection, so plain extends are
         // collision-free.
         self.acked.extend(other.acked);
@@ -253,7 +249,7 @@ struct Conn<'a> {
     next_req_id: u64,
     /// Requests on the wire, in send order.
     outstanding: VecDeque<(u64, Job)>,
-    /// Writes awaiting a resend, in issue order.
+    /// Requests awaiting a resend, in issue order.
     resend: VecDeque<Job>,
     /// Failed connects or retryable errors since the last success.
     attempt: u32,
@@ -286,19 +282,15 @@ impl Conn<'_> {
         }
     }
 
-    /// Outstanding writes go back to the front of the resend queue *in
-    /// order*; outstanding reads are abandoned (reads carry no audit
-    /// state).
+    /// Outstanding requests go back to the front of the resend queue *in
+    /// order*, keeping their due times.
     fn disconnect(&mut self) {
         if let Some(s) = self.stream.take() {
             s.shutdown();
         }
         self.reader = FrameReader::new();
         while let Some((_, job)) = self.outstanding.pop_back() {
-            match write_of(job.req) {
-                Some(_) => self.resend.push_front(job),
-                None => self.rep.errors += 1,
-            }
+            self.resend.push_front(job);
         }
     }
 
@@ -351,14 +343,6 @@ impl Conn<'_> {
             }
             _ => self.rep.errors += 1,
         }
-    }
-}
-
-fn raw_fd(stream: &Stream) -> i32 {
-    use std::os::fd::AsRawFd;
-    match stream {
-        Stream::Tcp(s) => s.as_raw_fd(),
-        Stream::Unix(s) => s.as_raw_fd(),
     }
 }
 
@@ -434,7 +418,7 @@ fn run_conn(cfg: &LoadConfig, id: usize, start: Instant) -> LoadReport {
         if wake <= now {
             continue;
         }
-        let got = match os::wait_readable(raw_fd(stream), wake - now) {
+        let got = match stream.wait_readable(wake - now) {
             Ok(false) => continue,
             Ok(true) => c.reader.fill_from(stream),
             Err(e) => Err(e),
@@ -458,18 +442,16 @@ fn run_conn(cfg: &LoadConfig, id: usize, start: Instant) -> LoadReport {
         }
     }
 
-    // Whatever never got acknowledged is unresolved.
+    // A write never acknowledged is unresolved; a read never answered is
+    // an error.
     let mut rep = c.rep;
     for job in c.outstanding.into_iter().map(|o| o.1).chain(c.resend) {
-        if let Some((la, tag)) = write_of(job.req) {
-            rep.unresolved.entry(la).or_default().push(tag);
+        match write_of(job.req) {
+            Some((la, tag)) => rep.unresolved.entry(la).or_default().push(tag),
+            None => rep.errors += 1,
         }
     }
-    if let Some(s) = c.stream {
-        s.shutdown();
-    }
     rep.reconnects = c.connects.saturating_sub(1);
-    rep.elapsed = start.elapsed();
     rep
 }
 
@@ -490,7 +472,6 @@ pub fn run_load(cfg: &LoadConfig) -> LoadReport {
         }
         merged
     });
-    merged.samples.sort_unstable();
     merged.late.sort_unstable();
     merged
 }
@@ -593,6 +574,9 @@ mod tests {
             let server = s.spawn(move || {
                 let mut conn = listener.accept().unwrap();
                 answer(&mut conn, 100);
+                // Leave ~20 requests, reads among them, on the wire
+                // unanswered; the client must resend them all.
+                std::thread::sleep(Duration::from_millis(20));
                 // Unreachable first, then closed: the client's reconnects
                 // fail until the listener is back.
                 drop(listener);
@@ -611,6 +595,8 @@ mod tests {
         });
         assert_eq!(rep.reconnects, 1);
         assert!(rep.unresolved.is_empty(), "every write resent until acked");
+        assert_eq!(rep.errors, 0, "every read resent until answered");
+        assert_eq!(rep.samples.len() as u64, rep.sent);
         let mut during = 0;
         for &(due, latency) in &rep.samples {
             if due >= stall_from && due <= stall_to {

@@ -7,16 +7,24 @@
 //! is the persistence layer's job, which the chaos harness exercises by
 //! sending real `SIGKILL`s to a real process.
 //!
-//! The load generator waits for its socket with [`wait_readable`]
-//! (Linux `ppoll`, nanosecond timeout) under 1 ns timer slack
+//! The load generator waits for its socket with `wait_readable` (Linux
+//! `ppoll`, nanosecond timeout) under 1 ns timer slack
 //! ([`tighten_timer_slack`]); `SO_RCVTIMEO` and `poll` both round a wait
-//! up to a scheduler tick or a millisecond.
+//! up to a scheduler tick or a millisecond, which is what other Unix
+//! systems get.
 
 #![allow(missing_docs)]
 
+#[cfg(all(unix, not(target_os = "linux")))]
+use std::ffi::c_uint;
+#[cfg(unix)]
+use std::ffi::{c_int, c_short};
+#[cfg(target_os = "linux")]
+use std::ffi::{c_long, c_ulong};
 use std::io;
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
+#[cfg(unix)]
 use std::time::Duration;
 
 /// Graceful-shutdown request codes.
@@ -30,7 +38,6 @@ static SHUTDOWN: AtomicBool = AtomicBool::new(false);
 extern "C" {
     fn signal(signum: i32, handler: usize) -> usize;
     fn kill(pid: i32, sig: i32) -> i32;
-    fn getpid() -> i32;
 }
 
 #[cfg(unix)]
@@ -81,55 +88,71 @@ pub fn send_signal(pid: u32, sig: i32) -> std::io::Result<()> {
     }
 }
 
-/// This process's pid (printed by the server so a harness can signal it).
-pub fn own_pid() -> u32 {
-    #[cfg(unix)]
-    unsafe {
-        getpid() as u32
-    }
-    #[cfg(not(unix))]
-    {
-        std::process::id()
-    }
-}
-
+#[cfg(unix)]
 #[repr(C)]
 struct PollFd {
-    fd: i32,
-    events: i16,
-    revents: i16,
+    fd: c_int,
+    events: c_short,
+    revents: c_short,
 }
 
+#[cfg(target_os = "linux")]
 #[repr(C)]
 struct Timespec {
-    tv_sec: i64,
-    tv_nsec: i64,
+    tv_sec: c_long,
+    tv_nsec: c_long,
 }
 
 #[cfg(target_os = "linux")]
 extern "C" {
-    fn ppoll(fds: *mut PollFd, nfds: u64, timeout: *const Timespec, sigmask: *const u8) -> i32;
-    fn prctl(option: i32, ...) -> i32;
+    fn ppoll(
+        fds: *mut PollFd,
+        nfds: c_ulong,
+        timeout: *const Timespec,
+        sigmask: *const u8,
+    ) -> c_int;
+    fn prctl(option: c_int, ...) -> c_int;
+}
+
+#[cfg(all(unix, not(target_os = "linux")))]
+extern "C" {
+    // `nfds_t` is `unsigned int` on macOS and the BSDs.
+    fn poll(fds: *mut PollFd, nfds: c_uint, timeout_ms: c_int) -> c_int;
 }
 
 /// Block until `fd` is readable (or hung up) or `timeout` passes;
-/// `Ok(false)` on timeout or signal interruption.
-#[cfg(target_os = "linux")]
+/// `Ok(false)` on timeout or signal interruption. Linux waits in `ppoll`
+/// to the nanosecond; other Unix systems wait in `poll`, rounded up to a
+/// millisecond.
+#[cfg(unix)]
 pub fn wait_readable(fd: i32, timeout: Duration) -> io::Result<bool> {
-    const POLLIN: i16 = 0x1;
+    const POLLIN: c_short = 0x1;
     let mut pfd = PollFd {
         fd,
         events: POLLIN,
         revents: 0,
     };
-    let ts = Timespec {
-        tv_sec: timeout.as_secs() as i64,
-        tv_nsec: timeout.subsec_nanos() as i64,
+    #[cfg(target_os = "linux")]
+    let n = {
+        let ts = Timespec {
+            tv_sec: timeout.as_secs().try_into().unwrap_or(c_long::MAX),
+            tv_nsec: timeout.subsec_nanos() as c_long,
+        };
+        // SAFETY: `pfd` and `ts` are valid for the duration of the call,
+        // nfds is 1 to match the single entry, and a null sigmask leaves
+        // the signal mask unchanged.
+        unsafe { ppoll(&mut pfd, 1, &ts, std::ptr::null()) }
     };
-    // SAFETY: `pfd` and `ts` are valid for the duration of the call, nfds
-    // is 1 to match the single entry, and a null sigmask leaves the signal
-    // mask unchanged.
-    let n = unsafe { ppoll(&mut pfd, 1, &ts, std::ptr::null()) };
+    #[cfg(not(target_os = "linux"))]
+    let n = {
+        let ms = timeout
+            .as_nanos()
+            .div_ceil(1_000_000)
+            .min(c_int::MAX as u128) as c_int;
+        // SAFETY: `pfd` is valid for the duration of the call and nfds is
+        // 1 to match the single entry.
+        unsafe { poll(&mut pfd, 1, ms) }
+    };
     if n < 0 {
         let e = io::Error::last_os_error();
         return if e.kind() == io::ErrorKind::Interrupted {
@@ -142,19 +165,24 @@ pub fn wait_readable(fd: i32, timeout: Duration) -> io::Result<bool> {
 }
 
 /// Drop the calling thread's timer slack from the default 50 µs to 1 ns,
-/// so a timed wait wakes when asked, not up to 50 µs late.
-#[cfg(target_os = "linux")]
+/// so a timed wait wakes when asked, not up to 50 µs late. Linux only; a
+/// no-op elsewhere.
 pub fn tighten_timer_slack() {
-    const PR_SET_TIMERSLACK: i32 = 29;
-    // SAFETY: PR_SET_TIMERSLACK takes a plain integer and touches no
-    // caller memory; a failure only leaves the default slack in place.
-    unsafe {
-        prctl(PR_SET_TIMERSLACK, 1u64);
+    #[cfg(target_os = "linux")]
+    {
+        const PR_SET_TIMERSLACK: c_int = 29;
+        // SAFETY: PR_SET_TIMERSLACK takes a plain integer and touches no
+        // caller memory; a failure only leaves the default slack in place.
+        let slack_ns: c_ulong = 1;
+        unsafe {
+            prctl(PR_SET_TIMERSLACK, slack_ns);
+        }
     }
 }
 
 /// The type of the filesystem holding `path`: the `fstype` of the
 /// longest mount point in `/proc/self/mountinfo` that contains it.
+/// Linux only; elsewhere an `Unsupported` error.
 #[cfg(target_os = "linux")]
 pub fn fs_type(path: &Path) -> io::Result<String> {
     let path = path.canonicalize()?;
@@ -175,6 +203,16 @@ pub fn fs_type(path: &Path) -> io::Result<String> {
         .ok_or_else(|| io::Error::other("no mount point contains the path"))
 }
 
+/// The type of the filesystem holding `path`: Linux only.
+#[cfg(not(target_os = "linux"))]
+pub fn fs_type(path: &Path) -> io::Result<String> {
+    let _ = path;
+    Err(io::Error::new(
+        io::ErrorKind::Unsupported,
+        "the filesystem type is read from Linux mountinfo",
+    ))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -184,11 +222,5 @@ mod tests {
         // The flag is process-global; this test only ever sets it.
         request_shutdown();
         assert!(shutdown_requested());
-    }
-
-    #[cfg(unix)]
-    #[test]
-    fn own_pid_matches_std() {
-        assert_eq!(own_pid(), std::process::id());
     }
 }
